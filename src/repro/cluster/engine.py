@@ -29,9 +29,12 @@ typed request to a backend shard:
 * **Capabilities** are negotiated as the intersection of the backends'
   (:meth:`~repro.runtime.api.EngineCapabilities.intersection`): the
   cluster only claims what every shard it may route to can serve.
-* **Stats** merge: :meth:`stats` folds per-shard
-  :class:`~repro.serve.metrics.ServeStats` into one snapshot
-  (:func:`repro.serve.metrics.merge_stats`); :meth:`stats_markdown`
+* **Stats** merge: :meth:`metrics_registry` merges the shards'
+  registries (each relabeled ``shard=<id>``) with the router's own,
+  and :meth:`stats` is
+  :meth:`~repro.serve.metrics.ServeStats.from_registry` of that merge
+  — the same view every engine reports, so the cluster's totals are
+  the sum of its shards' by construction; :meth:`stats_markdown`
   renders it plus the per-shard routing/health table.
 * **Observability**: every routing decision and every per-shard stream
   attempt records a span (components ``router``; names ``route`` /
@@ -40,9 +43,10 @@ typed request to a backend shard:
   shards — reconstructs the whole story: client network span, router
   decisions (spills and redrives included), and the serving shard's
   admission/queue/tile/execute/serialize spans, all correlated by the
-  one trace id minted at the front door. Health transitions, spills,
-  and redrives land in :class:`~repro.obs.registry.MetricsRegistry`
-  counters (``repro_cluster_*``) and a structured
+  one trace id minted at the front door. The exactly-once ledger
+  (accepted / resolved / redriven / spilled submissions) and health
+  transitions are :class:`~repro.obs.registry.MetricsRegistry`
+  counters (``repro_cluster_*``), also logged to a structured
   :class:`~repro.obs.events.EventLog` (:meth:`events`);
   :meth:`metrics_registry` merges each shard's registry with a
   ``shard=<id>`` label stamped on.
@@ -85,7 +89,7 @@ from repro.runtime.api import (
 )
 from repro.cluster.health import HealthMonitor, ShardState
 from repro.cluster.placement import HashRing, placement_key
-from repro.serve.metrics import ServeStats, merge_stats, stats_markdown
+from repro.serve.metrics import stats_markdown
 from repro.serve.transport import RemoteServeError, TransportError
 
 
@@ -657,6 +661,10 @@ class ClusterEngine(Engine):
         #: redrives — queryable via :meth:`events`
         self.event_log = EventLog(event_capacity)
         self._metrics = MetricsRegistry()
+        self._accepted_counter = self._metrics.counter(
+            "repro_cluster_requests_accepted_total",
+            "submissions accepted by the router",
+        )
         self._health_transitions = self._metrics.counter(
             "repro_cluster_health_transitions_total",
             "shard health-state transitions, labeled shard and new state",
@@ -688,12 +696,6 @@ class ClusterEngine(Engine):
         self._caps = EngineCapabilities.intersection(
             "cluster", list(self._member_caps.values())
         )
-        self._lock = threading.Lock()
-        self._accepted = 0
-        self._completed = 0
-        self._failed = 0
-        self._redrives = 0
-        self._spills = 0
         self._closed = False
         self._monitor: HealthMonitor | None = None
         if health_interval_s is not None:
@@ -846,8 +848,6 @@ class ClusterEngine(Engine):
         if chosen.in_flight >= self._spill_threshold:
             least = min(candidates, key=lambda s: s.in_flight)
             if least.in_flight < chosen.in_flight:
-                with self._lock:
-                    self._spills += 1
                 self._spill_counter.inc(
                     source=chosen.shard_id, target=least.shard_id
                 )
@@ -863,22 +863,14 @@ class ClusterEngine(Engine):
     # -- ledger --------------------------------------------------------------
 
     def _note_accepted(self) -> None:
-        with self._lock:
-            self._accepted += 1
+        self._accepted_counter.inc()
 
     def _note_resolved(self, completed: bool) -> None:
-        with self._lock:
-            if completed:
-                self._completed += 1
-            else:
-                self._failed += 1
         self._resolved_counter.inc(
             outcome="completed" if completed else "failed"
         )
 
     def _note_redrive(self) -> None:
-        with self._lock:
-            self._redrives += 1
         self._redrive_counter.inc()
         self.event_log.emit("redrive")
 
@@ -1019,40 +1011,25 @@ class ClusterEngine(Engine):
     # -- stats ---------------------------------------------------------------
 
     def cluster_stats(self) -> ClusterStats:
-        """The routing ledger + per-shard status table."""
-        with self._lock:
-            accepted = self._accepted
-            completed = self._completed
-            failed = self._failed
-            redrives = self._redrives
-            spills = self._spills
+        """The routing ledger (read off the ``repro_cluster_*``
+        counters in one consistent read) + per-shard status table."""
+        resolved = self._resolved_counter
+        with self._metrics.atomic():
+            accepted = self._accepted_counter.total()
+            completed = resolved.value(outcome="completed")
+            failed = resolved.value(outcome="failed")
+            redrives = self._redrive_counter.total()
+            spills = self._spill_counter.total()
         return ClusterStats(
             shards=tuple(
                 self._shards[sid].status() for sid in self._ring.shard_ids
             ),
-            accepted=accepted,
-            completed=completed,
-            failed=failed,
-            redrives=redrives,
-            spills=spills,
+            accepted=int(accepted),
+            completed=int(completed),
+            failed=int(failed),
+            redrives=int(redrives),
+            spills=int(spills),
         )
-
-    def stats(self) -> ServeStats:
-        """Per-shard serve metrics merged into one snapshot.
-
-        DOWN shards are skipped (they cannot answer); a shard that dies
-        during the query is marked DOWN and skipped likewise, so the
-        merged snapshot always reflects the reachable cluster.
-        """
-        snapshots = []
-        for shard in self._shards.values():
-            if shard.state is ShardState.DOWN:
-                continue
-            try:
-                snapshots.append(shard.engine.stats())
-            except TransportError:
-                shard.mark_down()
-        return merge_stats(snapshots)
 
     def stats_markdown(self) -> str:
         """The merged serve-stats table plus the per-shard table."""
@@ -1096,8 +1073,10 @@ class ClusterEngine(Engine):
         before merging, so per-shard series stay distinguishable in the
         combined Prometheus export; the cluster's own
         ``repro_cluster_*`` counters carry no shard label (they are
-        router-side). DOWN and newly unreachable shards are skipped,
-        mirroring :meth:`stats`.
+        router-side). DOWN shards are skipped (they cannot answer); a
+        shard that dies during the query is marked DOWN and skipped
+        likewise, so the merge — and :meth:`stats`, its view — always
+        reflects the reachable cluster.
         """
         merged = MetricsRegistry.from_snapshot(self._metrics.snapshot())
         for sid, shard in self._shards.items():

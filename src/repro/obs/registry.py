@@ -1,18 +1,18 @@
 """Unified metrics registry: counters, gauges, histograms, labels.
 
-The registry the serving stack's ad-hoc :class:`~repro.serve.metrics.
-ServeStats` fields are rebased onto (the dataclass remains the
-*storage* — locked, mergeable, wire-serializable; the registry is the
-*exposition*, built from a stats snapshot by
-:func:`repro.serve.metrics.stats_to_registry` and merged across
-cluster shards). Three metric kinds:
+The store of every serving counter: each engine (a service, a
+``local://`` engine, a cluster router) owns one registry, its
+components increment it directly, and the serving stats table
+(:class:`~repro.serve.metrics.ServeStats`) is a *view* of it built by
+:meth:`~repro.serve.metrics.ServeStats.from_registry`. Three metric
+kinds:
 
 * :class:`Counter` — monotone totals; merge by summing.
 * :class:`Gauge` — point-in-time levels; each gauge declares its merge
   policy (``sum`` for extensive quantities like queue depth and
-  resident bytes, ``max`` for high-water marks), mirroring exactly what
-  :func:`repro.serve.metrics.merge_stats` does field-by-field so the
-  Prometheus view and the merged-stats view never disagree.
+  resident bytes, ``max`` for high-water marks). The same policy rolls
+  a gauge's samples up across labels when a view ignores them, so a
+  shard's registry and a cluster's merge read the same way.
 * :class:`Histogram` — bucketed distributions (queue-wait); merge by
   summing per-bucket counts.
 
@@ -24,7 +24,8 @@ the standard text exposition format (served by the ``metrics`` wire op
 and the ``--metrics-port`` HTTP endpoint); :meth:`snapshot` /
 :meth:`from_snapshot` round-trip through JSON for the wire.
 
-Stdlib-only; thread-safe via one registry-wide lock.
+Stdlib-only; thread-safe via one registry-wide re-entrant lock, which
+:meth:`MetricsRegistry.atomic` holds across a group of updates.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ _GAUGE_MERGES = ("sum", "max")
 
 
 def _label_key(labels: dict) -> tuple:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -64,7 +67,7 @@ class _Metric:
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str, lock: threading.Lock):
+    def __init__(self, name: str, help: str, lock: threading.RLock):
         self.name = name
         self.help = help
         self._lock = lock
@@ -112,7 +115,7 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def __init__(
-        self, name: str, help: str, lock: threading.Lock, merge: str = "sum"
+        self, name: str, help: str, lock: threading.RLock, merge: str = "sum"
     ):
         super().__init__(name, help, lock)
         if merge not in _GAUGE_MERGES:
@@ -122,6 +125,12 @@ class Gauge(_Metric):
     def set(self, value: float, **labels) -> None:
         with self._lock:
             self._samples[_label_key(labels)] = float(value)
+
+    def set_max(self, value: float, **labels) -> None:
+        """Raise the level to ``value`` if it is higher (high-water marks)."""
+        key = _label_key(labels)
+        with self._lock:
+            self._samples[key] = max(self._samples.get(key, value), float(value))
 
     def value(self, **labels) -> float:
         with self._lock:
@@ -133,8 +142,7 @@ class Histogram(_Metric):
 
     ``bounds`` are finite upper bucket edges; an implicit ``+Inf``
     bucket catches the overflow, so ``counts`` has ``len(bounds) + 1``
-    entries. Merging sums counts and sums, exactly like
-    :meth:`repro.serve.admission.WaitHistogram.merge`.
+    entries. Merging sums counts and sums bucket-wise.
     """
 
     kind = "histogram"
@@ -143,7 +151,7 @@ class Histogram(_Metric):
         self,
         name: str,
         help: str,
-        lock: threading.Lock,
+        lock: threading.RLock,
         bounds: Sequence[float],
     ):
         super().__init__(name, help, lock)
@@ -167,7 +175,7 @@ class Histogram(_Metric):
             self._samples[key] = (counts, total + float(value))
 
     def load(self, counts: Sequence[int], sum_s: float, **labels) -> None:
-        """Accumulate pre-bucketed counts (bridging an existing histogram)."""
+        """Accumulate pre-bucketed counts (merging another histogram)."""
         if len(counts) != len(self.bounds) + 1:
             raise ValueError(
                 f"expected {len(self.bounds) + 1} counts "
@@ -190,15 +198,23 @@ class Histogram(_Metric):
 class MetricsRegistry:
     """Named metrics with get-or-create accessors and mergeable state.
 
-    One lock guards the whole registry: exposition is read-rarely,
-    hot-path increments happen on already-snapshotted stats (the bridge
-    builds a fresh registry per exposition), so contention is not a
-    concern and the simple locking keeps merge/snapshot atomic.
+    One re-entrant lock guards the whole registry, so a snapshot is
+    one consistent read; hot paths group their updates with
+    :meth:`atomic` and pay one acquisition per group.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._metrics: dict = {}
+
+    def atomic(self) -> threading.RLock:
+        """Hold the registry lock across a group of updates or reads.
+
+        ``with registry.atomic(): ...`` — metric calls inside re-enter
+        the held lock, so a batch of increments is taken once and
+        readers (:meth:`snapshot`, exposition) see all of it or none.
+        """
+        return self._lock
 
     # -- get-or-create ---------------------------------------------------------
 
@@ -309,25 +325,27 @@ class MetricsRegistry:
     # -- snapshots (wire) ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-able document; :meth:`from_snapshot` round-trips it."""
+        """JSON-able document (one consistent read under the lock);
+        :meth:`from_snapshot` round-trips it."""
         doc: dict = {}
-        for metric in self.metrics():
-            entry: dict = {"kind": metric.kind, "help": metric.help}
-            if isinstance(metric, Gauge):
-                entry["merge"] = metric.merge
-            if isinstance(metric, Histogram):
-                entry["bounds"] = list(metric.bounds)
-                entry["samples"] = [
-                    {"labels": dict(key), "counts": counts, "sum": sum_s}
-                    for key, (counts, sum_s) in sorted(metric.samples().items())
-                ]
-            else:
-                entry["samples"] = [
-                    {"labels": dict(key), "value": value}
-                    for key, value in sorted(metric.samples().items())
-                ]
-            doc[metric.name] = entry
-        return doc
+        with self._lock:
+            for metric in self.metrics():
+                entry: dict = {"kind": metric.kind, "help": metric.help}
+                if isinstance(metric, Gauge):
+                    entry["merge"] = metric.merge
+                if isinstance(metric, Histogram):
+                    entry["bounds"] = list(metric.bounds)
+                    entry["samples"] = [
+                        {"labels": dict(key), "counts": counts, "sum": sum_s}
+                        for key, (counts, sum_s) in sorted(metric.samples().items())
+                    ]
+                else:
+                    entry["samples"] = [
+                        {"labels": dict(key), "value": value}
+                        for key, value in sorted(metric.samples().items())
+                    ]
+                doc[metric.name] = entry
+            return doc
 
     @classmethod
     def from_snapshot(cls, doc: dict) -> "MetricsRegistry":

@@ -748,13 +748,17 @@ class Engine(ABC):
 
     # -- introspection -------------------------------------------------------
 
-    @abstractmethod
-    def stats(self) -> "ServeStats":
-        """Aggregate engine statistics snapshot."""
+    def stats(self) -> ServeStats:
+        """Aggregate statistics: the view of :meth:`metrics_registry`."""
+        from repro.serve.metrics import ServeStats
 
-    @abstractmethod
+        return ServeStats.from_registry(self.metrics_registry())
+
     def stats_markdown(self) -> str:
         """The stats snapshot rendered as a markdown table."""
+        from repro.serve.metrics import stats_markdown
+
+        return stats_markdown(self.stats())
 
     # -- observability -------------------------------------------------------
 
@@ -768,16 +772,10 @@ class Engine(ABC):
         """
         return []
 
-    def metrics_registry(self) -> "MetricsRegistry":
-        """The engine's stats as a :class:`~repro.obs.registry.MetricsRegistry`.
-
-        The base implementation bridges :meth:`stats` through
-        :func:`repro.serve.metrics.stats_to_registry`; engines with
-        richer sources (remote exposition, per-shard merges) override.
-        """
-        from repro.serve.metrics import stats_to_registry
-
-        return stats_to_registry(self.stats())
+    @abstractmethod
+    def metrics_registry(self) -> MetricsRegistry:
+        """The :class:`~repro.obs.registry.MetricsRegistry` that stores
+        this engine's serving metrics (a cluster's merges its shards')."""
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of :meth:`metrics_registry`."""

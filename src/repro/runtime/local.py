@@ -25,6 +25,7 @@ from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
 from repro.graph.io import load_rank_graphs
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, TraceBuffer, wall_from_perf
 from repro.runtime.api import (
     Engine,
@@ -36,14 +37,9 @@ from repro.runtime.api import (
     TrainRequest,
     TrainResult,
 )
-from repro.serve.cache import CacheStats, GraphAsset
+from repro.serve.cache import GraphAsset
 from repro.serve.executor import execute_batch, execute_train_job
-from repro.serve.metrics import (
-    MetricsAggregator,
-    RequestMetrics,
-    ServeStats,
-    stats_markdown,
-)
+from repro.serve.metrics import MetricsAggregator, RequestMetrics
 from repro.serve.registry import ModelRegistry
 
 _CAPABILITIES = EngineCapabilities(
@@ -157,9 +153,9 @@ class LocalEngine(Engine):
         #: identical to the reference op chain; False pins the unfused
         #: workspace loop)
         self.fast_math = fast_math
-        self._registry = ModelRegistry()
-        self._assets: dict[str, GraphAsset] = {}
         self._metrics = MetricsAggregator()
+        self._registry = ModelRegistry(metrics=self._metrics.registry)
+        self._assets: dict[str, GraphAsset] = {}
         #: span ring: inline execution records one ``execute`` span per
         #: request (there is no queue, so that is the whole lifecycle)
         self.trace = TraceBuffer(trace_capacity)
@@ -193,6 +189,7 @@ class LocalEngine(Engine):
         for g in graphs:
             _ = g.plans  # lazy compile; cached on the graph instance
         self._assets[key] = GraphAsset(key=key, graphs=tuple(graphs))
+        self._publish_assets()
 
     def register_graph_dir(self, key: str, directory: str | Path) -> None:
         """Load a rank-payload directory eagerly and pin it."""
@@ -203,6 +200,19 @@ class LocalEngine(Engine):
 
     def graph_keys(self) -> list:
         return sorted(self._assets)
+
+    def _publish_assets(self) -> None:
+        """Re-measure the pinned-asset levels (entries / resident bytes)."""
+        resident = sum(a.nbytes for a in self._assets.values())
+        reg = self._metrics.registry
+        with reg.atomic():
+            reg.get("repro_graph_cache_entries").set(len(self._assets))
+            reg.get("repro_graph_cache_resident_bytes").set(resident)
+
+    def _record(self, per_request: list, execution) -> None:
+        self._metrics.record_batch(per_request, execution)
+        if execution.tile_misses:  # tiling grew the asset's resident bytes
+            self._publish_assets()
 
     def _asset(self, key: str) -> GraphAsset:
         try:
@@ -255,16 +265,7 @@ class LocalEngine(Engine):
             batch_comm_bytes=execution.comm.bytes_sent,
             batch_comm_messages=execution.comm.messages,
         )
-        self._metrics.record_batch(
-            [metrics],
-            execution.n_steps,
-            comm_bytes=execution.comm.bytes_sent,
-            comm_messages=execution.comm.messages,
-            tile_hits=execution.tile_hits,
-            tile_misses=execution.tile_misses,
-            fused=execution.fused,
-            f32=execution.f32,
-        )
+        self._record([metrics], execution)
         return _CompletedRolloutFuture(request, states, metrics)
 
     def _submit_ensemble(self, request):
@@ -322,21 +323,17 @@ class LocalEngine(Engine):
             )
             for member in members
         ]
-        self._metrics.record_batch(
-            per_request,
-            execution.n_steps,
-            comm_bytes=execution.comm.bytes_sent,
-            comm_messages=execution.comm.messages,
-            tile_hits=execution.tile_hits,
-            tile_misses=execution.tile_misses,
-            fused=execution.fused,
-            f32=execution.f32,
+        self._record(per_request, execution)
+        self._metrics.add(
+            ensemble_requests=1, ensemble_members=len(members),
+            ensemble_chunks=1,
         )
-        self._metrics.record_ensemble(members=len(members), chunks=1)
         return _CompletedEnsembleFuture(
             request, trajectories,
             metrics={"members": len(members), "exec_s": execution.exec_s},
-            on_outcome=self._metrics.record_ensemble_outcome,
+            on_outcome=lambda blew_up, stopped: self._metrics.add(
+                ensemble_blow_ups=blew_up, ensemble_early_stops=stopped
+            ),
             trace=self.trace if self.trace.enabled else None,
         )
 
@@ -347,25 +344,15 @@ class LocalEngine(Engine):
         result = execute_train_job(
             model, asset, request, timeout=self.request_timeout_s
         )
-        self._metrics.record_train(result.train_s)
+        self._metrics.add(train_jobs=1, train_s=result.train_s)
         return _CompletedTrainFuture(request, result)
 
-    # -- stats ---------------------------------------------------------------
+    # -- observability -------------------------------------------------------
 
-    def stats(self) -> ServeStats:
-        """Snapshot in the same shape the serving engines report."""
-        resident = sum(a.nbytes for a in self._assets.values())
-        return self._metrics.snapshot(
-            cache=CacheStats(
-                entries=len(self._assets), resident_bytes=resident
-            ),
-            registry=self._registry.stats(),
-            queue_depth=0,
-            queue_depth_high_water=0,
-        )
-
-    def stats_markdown(self) -> str:
-        return stats_markdown(self.stats())
+    def metrics_registry(self) -> MetricsRegistry:
+        """The engine's metrics store (same series as the serving engines;
+        there is no queue, so its gauges stay at zero)."""
+        return self._metrics.registry
 
     def get_trace(self, trace_id: str) -> list[Span]:
         return self.trace.trace(trace_id)

@@ -38,7 +38,6 @@ from repro.runtime.api import (
     TrainResult,
 )
 from repro.serve.batching import RolloutHandle
-from repro.serve.metrics import ServeStats
 from repro.serve.service import InferenceService, ServeConfig
 
 _CAPABILITIES = EngineCapabilities(
@@ -237,16 +236,10 @@ class PooledEngine(Engine):
 
     # -- stats / observability ------------------------------------------------
 
-    def stats(self) -> ServeStats:
-        return self._service.stats()
-
-    def stats_markdown(self) -> str:
-        return self._service.stats_markdown()
-
     def get_trace(self, trace_id: str) -> list:
         """Spans from the service's trace ring (admission/queue/tile/execute)."""
         return self._service.get_trace(trace_id)
 
     def metrics_registry(self):
-        """The service's unified registry (includes per-model labels)."""
+        """The service's metrics store (includes per-model labels)."""
         return self._service.metrics_registry()

@@ -19,8 +19,9 @@ trained model into a *service*:
   makes one batched forward bitwise-equal to per-request forwards;
 * :mod:`repro.serve.executor` — batch execution over the single and
   threaded comm backends, streaming frames per step;
-* :mod:`repro.serve.metrics` — per-request latency/queue/traffic
-  metrics, admission counters, and the stats table;
+* :mod:`repro.serve.metrics` — the serving metrics declarations: one
+  registry per engine stores every counter, :class:`ServeStats` is its
+  view, plus the stats table;
 * :mod:`repro.serve.service` — the in-process serving engine
   (fronted by :class:`repro.runtime.pooled.PooledEngine`);
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.transport` — the
@@ -61,7 +62,6 @@ from repro.serve.executor import BatchExecution, execute_batch, execute_train_jo
 from repro.serve.metrics import (
     RequestMetrics,
     ServeStats,
-    merge_stats,
     stats_markdown,
 )
 from repro.serve.protocol import ProtocolError
@@ -114,7 +114,6 @@ __all__ = [
     "execute_batch",
     "execute_train_job",
     "lane_label",
-    "merge_stats",
     "parse_endpoint",
     "split_states",
     "stack_states",

@@ -36,9 +36,11 @@ import time
 
 import numpy as np
 
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceBuffer, wall_from_perf
 from repro.runtime.api import BatchKey, RolloutRequest
 from repro.serve.admission import AdmissionController, DeadlineExpired
+from repro.serve.metrics import serve_registry
 
 #: Backwards-compatible name for the shared request dataclass.
 InferenceRequest = RolloutRequest
@@ -168,22 +170,32 @@ class RequestQueue:
     an :class:`~repro.serve.admission.AdmissionController` decides on is
     exact. Determinism: batch composition is a pure function of arrival
     order, keys, deadlines and the collector's timing parameters; it
-    never depends on request payloads.
+    never depends on request payloads. The depth gauges are written to
+    ``metrics`` (a private registry when ``None``).
     """
 
     def __init__(
         self,
         admission: AdmissionController | None = None,
         trace: TraceBuffer | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self._pending: list[tuple[InferenceRequest, RolloutHandle]] = []
         self._cond = threading.Condition()
         self._closed = False
-        self._depth_high_water = 0
         self._admission = admission
         #: optional span sink: expired-shed requests never reach the
         #: worker, so their terminal queue span is recorded here
         self._trace = trace
+        self._metrics = serve_registry(metrics)
+        self._depth_gauge = self._metrics.get("repro_queue_depth")
+        self._depth_high_water = self._metrics.get("repro_queue_depth_high_water")
+
+    def _publish_depth(self) -> None:
+        # caller holds the lock
+        with self._metrics.atomic():
+            self._depth_gauge.set(len(self._pending))
+            self._depth_high_water.set_max(len(self._pending))
 
     def submit(self, request: InferenceRequest) -> RolloutHandle:
         """Enqueue one request (applying admission control) → handle.
@@ -199,7 +211,7 @@ class RequestQueue:
             if self._admission is not None:
                 self._admission.admit(len(self._pending))
             self._pending.append((request, handle))
-            self._depth_high_water = max(self._depth_high_water, len(self._pending))
+            self._publish_depth()
             self._cond.notify_all()
         return handle
 
@@ -223,7 +235,7 @@ class RequestQueue:
             if self._admission is not None:
                 self._admission.admit(len(self._pending), slots=len(requests))
             self._pending.extend(zip(requests, handles))
-            self._depth_high_water = max(self._depth_high_water, len(self._pending))
+            self._publish_depth()
             self._cond.notify_all()
         return handles
 
@@ -302,13 +314,17 @@ class RequestQueue:
         after shedding.
         """
         now = time.perf_counter()
-        while self._pending:
+        popped = bool(self._pending)
+        head = None
+        while self._pending and head is None:
             req, handle = self._pending.pop(0)
             if req.expired(now):
                 self._shed_expired(req, handle, now)
-                continue
-            return req, handle
-        return None
+            else:
+                head = (req, handle)
+        if popped:
+            self._publish_depth()
+        return head
 
     def _shed_expired(
         self, req: InferenceRequest, handle: RolloutHandle, now: float
@@ -332,7 +348,9 @@ class RequestQueue:
                 batch.append(item)
             else:
                 kept.append(item)
-        self._pending[:] = kept
+        if len(kept) < len(self._pending):
+            self._pending[:] = kept
+            self._publish_depth()
 
     def depth(self) -> int:
         """Current number of pending (not yet collected) requests."""
@@ -347,9 +365,8 @@ class RequestQueue:
 
     @property
     def depth_high_water(self) -> int:
-        """Peak pending depth observed over the queue's lifetime."""
-        with self._cond:
-            return self._depth_high_water
+        """Peak pending depth recorded in the queue's registry."""
+        return int(self._depth_high_water.value())
 
     def close(self) -> None:
         """Stop accepting requests; pending ones are still served."""

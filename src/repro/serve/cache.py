@@ -24,6 +24,8 @@ from typing import Callable, Sequence
 
 from repro.graph.distributed import LocalGraph
 from repro.graph.io import load_rank_graphs
+from repro.obs.registry import MetricsRegistry
+from repro.serve.metrics import CacheStats, ServeStats, serve_registry
 
 _log = logging.getLogger("repro.serve.cache")
 
@@ -156,46 +158,6 @@ class GraphAsset:
         return total
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction accounting (snapshot).
-
-    Plain data taken under the cache lock; safe to share once returned.
-    ``plan_build_s`` totals the aggregation-plan compile seconds spent
-    by admissions over the cache lifetime; ``evicted_reload_s`` totals
-    the reload cost (loader + plan build wall seconds) of every asset
-    evicted so far — the price a churning cache has put back on future
-    requests, surfaced in the stats table to explain churn.
-    """
-
-    entries: int = 0
-    resident_bytes: int = 0
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    plan_build_s: float = 0.0
-    evicted_reload_s: float = 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when the cache was never consulted)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Combine two snapshots (cluster-wide aggregation): counters
-        and byte totals sum; ``hit_rate`` re-derives from the sums."""
-        return CacheStats(
-            entries=self.entries + other.entries,
-            resident_bytes=self.resident_bytes + other.resident_bytes,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            plan_build_s=self.plan_build_s + other.plan_build_s,
-            evicted_reload_s=self.evicted_reload_s + other.evicted_reload_s,
-        )
-
-
 class GraphCache:
     """Size-bounded LRU of :class:`GraphAsset` keyed by string.
 
@@ -210,10 +172,17 @@ class GraphCache:
     runs so concurrent misses on one key load once. Determinism: the
     cache only stores and returns what loaders produce — eviction and
     reload change *when* work happens, never the served bits (directory
-    loaders re-read the same ``.npz`` payloads exactly).
+    loaders re-read the same ``.npz`` payloads exactly). The counters
+    and levels are written to ``metrics`` (a private registry when
+    ``None``).
     """
 
-    def __init__(self, max_entries: int = 8, max_bytes: int | None = None):
+    def __init__(
+        self,
+        max_entries: int = 8,
+        max_bytes: int | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self._max_entries = max_entries
@@ -221,11 +190,15 @@ class GraphCache:
         self._assets: OrderedDict[str, GraphAsset] = OrderedDict()
         self._lock = threading.Lock()
         self._load_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._plan_build_s = 0.0
-        self._evicted_reload_s = 0.0
+        self._metrics = serve_registry(metrics)
+        get = self._metrics.get
+        self._hits = get("repro_graph_cache_hits_total")
+        self._misses = get("repro_graph_cache_misses_total")
+        self._evictions = get("repro_graph_cache_evictions_total")
+        self._plan_build_s = get("repro_graph_cache_plan_build_seconds_total")
+        self._evicted_reload_s = get("repro_graph_cache_evicted_reload_seconds_total")
+        self._entries = get("repro_graph_cache_entries")
+        self._resident_bytes = get("repro_graph_cache_resident_bytes")
 
     # -- core ----------------------------------------------------------------
 
@@ -234,10 +207,10 @@ class GraphCache:
         with self._lock:
             asset = self._assets.get(key)
             if asset is None:
-                self._misses += 1
+                self._misses.inc()
                 return None
             self._assets.move_to_end(key)
-            self._hits += 1
+            self._hits.inc()
             return asset
 
     def put(
@@ -265,8 +238,9 @@ class GraphCache:
         with self._lock:
             self._assets[key] = asset
             self._assets.move_to_end(key)
-            self._plan_build_s += build_s
+            self._plan_build_s.inc(build_s)
             self._enforce_bounds(keep=key)
+            self._publish_levels()
         return asset
 
     def get_or_load(
@@ -287,7 +261,7 @@ class GraphCache:
                 raced = self._assets.get(key)
                 if raced is not None:
                     self._assets.move_to_end(key)
-                    self._hits += 1
+                    self._hits.inc()
                     return raced
             started = time.perf_counter()
             graphs = loader()
@@ -308,35 +282,45 @@ class GraphCache:
         so a byte-bounded cache re-checks after work that may have
         tiled. LRU entries are evicted until the budget holds again
         (the MRU asset survives even if oversized alone, mirroring
-        admission). Thread-safe; cheap when unbounded or within budget.
+        admission), and the resident-bytes level is re-measured.
+        Thread-safe.
         """
         with self._lock:
-            if self._max_bytes is None or not self._assets:
-                return
-            mru = next(reversed(self._assets))
-            self._enforce_bounds(keep=mru)
+            if self._max_bytes is not None and self._assets:
+                self._enforce_bounds(keep=next(reversed(self._assets)))
+            self._publish_levels()
 
     def evict(self, key: str) -> bool:
         """Drop one asset; returns whether it was resident (thread-safe)."""
         with self._lock:
-            if key in self._assets:
-                self._drop(key)
-                return True
-            return False
+            if key not in self._assets:
+                return False
+            self._drop(key)
+            self._publish_levels()
+            return True
 
     def clear(self) -> None:
         """Evict everything (thread-safe; counted as evictions)."""
         with self._lock:
             for key in list(self._assets):
                 self._drop(key)
+            self._publish_levels()
+
+    def _publish_levels(self) -> None:
+        # caller holds the lock; re-measures the resident footprint
+        resident = sum(a.nbytes for a in self._assets.values())
+        with self._metrics.atomic():
+            self._entries.set(len(self._assets))
+            self._resident_bytes.set(resident)
 
     def _drop(self, key: str) -> None:
         # caller holds the lock; the single eviction path — counts the
         # eviction, accumulates the asset's reload cost, and logs it so
         # cache churn is explainable from the logs and the stats table
         asset = self._assets.pop(key)
-        self._evictions += 1
-        self._evicted_reload_s += asset.reload_cost_s
+        with self._metrics.atomic():
+            self._evictions.inc()
+            self._evicted_reload_s.inc(asset.reload_cost_s)
         _log.info(
             "evicted graph asset %r: %d resident bytes freed, reload cost "
             "%.2f ms (load %.2f ms + plan build %.2f ms)",
@@ -384,14 +368,5 @@ class GraphCache:
             return list(self._assets)
 
     def stats(self) -> CacheStats:
-        """Snapshot the counters (consistent under the lock)."""
-        with self._lock:
-            return CacheStats(
-                entries=len(self._assets),
-                resident_bytes=sum(a.nbytes for a in self._assets.values()),
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                plan_build_s=self._plan_build_s,
-                evicted_reload_s=self._evicted_reload_s,
-            )
+        """The cache view of the metrics registry."""
+        return ServeStats.from_registry(self._metrics).cache

@@ -1,44 +1,81 @@
-"""Per-request and aggregate serving metrics.
+"""Serving metrics: the registry is the store, ``ServeStats`` its view.
 
-Every completed request carries a :class:`RequestMetrics`; the service
-aggregates them into :class:`ServeStats` together with cache, registry
-and queue counters. Rendering reuses the markdown-table idiom of
-:mod:`repro.perf.report` so serving reports read like the paper's
-performance tables.
+Every serving counter lives in one
+:class:`~repro.obs.registry.MetricsRegistry` per engine (a service, a
+``local://`` engine; a cluster router merges its shards'). Each metric
+is declared **once**, on the stats field it backs (dataclass field
+metadata): its name, kind, help text and — for gauges — the ``sum`` /
+``max`` policy that rolls samples up across labels and shards. The
+components increment the registry directly: the admission controller,
+the scheduler queue, the graph cache, the model registry, and the
+:class:`MetricsAggregator` the worker pool reports batches into.
 
-Snapshots are **mergeable**: :func:`merge_stats` combines any number of
-:class:`ServeStats` into one (counters sum, means re-weight by request
-count, histograms merge bucket-wise), which is how the cluster layer
-(:mod:`repro.cluster`) renders per-shard metrics as one table.
-
-:func:`stats_to_registry` rebases a snapshot onto the unified
-:class:`repro.obs.registry.MetricsRegistry` — every ``ServeStats``
-field becomes a named counter/gauge/histogram chosen so that *merging
-registries commutes with merging stats*: counters carry the raw sums
-(mean latency is exported as ``repro_latency_seconds_total``, i.e.
-``mean * requests``, exactly the quantity ``merge_stats`` re-weights
-by), gauges declare the same sum-vs-max policy ``merge_stats`` applies
-field-by-field, and the queue-wait histogram maps bucket-for-bucket.
-The Prometheus view and the merged-stats view therefore never disagree
-(asserted by ``tests/obs/test_registry_bridge.py``).
+:meth:`ServeStats.from_registry` is the one function that reads it
+back. Means are ``sum / requests``; label-blind rollups follow each
+gauge's declared policy; per-lane and per-model dicts group by their
+label. The same function therefore reads a shard's registry and the
+cluster's shard-relabelled merge (:meth:`~repro.obs.registry.
+MetricsRegistry.relabel` + :meth:`~repro.obs.registry.MetricsRegistry.
+merge`), so the cluster's view equals the sum of its shards' by
+construction. Rendering reuses the markdown-table idiom of
+:mod:`repro.perf.report`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro.obs.registry import MetricsRegistry
 from repro.perf.report import markdown_table
-from repro.serve.admission import WAIT_BUCKETS_S, AdmissionStats
-from repro.serve.cache import CacheStats
-from repro.serve.registry import RegistryStats
-from repro.serve.scheduler import SchedulerStats
 
 if TYPE_CHECKING:
-    from repro.obs.registry import MetricsRegistry
+    from repro.serve.executor import BatchExecution
+
+#: Upper bucket bounds (seconds) of the queue-wait histograms; the
+#: implicit final bucket is +inf. Log-spaced 1 ms .. 30 s.
+WAIT_BUCKETS_S = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+
+
+# -- declarations (stats-field metadata) -------------------------------------
+
+
+def _counter(name: str, help: str, default=0):
+    return field(default=default, metadata={
+        "metric": name, "kind": "counter", "help": help,
+    })
+
+
+def _gauge(name: str, help: str, merge: str, default=0, by: str | None = None):
+    kwargs = {"default_factory": dict} if by else {"default": default}
+    return field(**kwargs, metadata={
+        "metric": name, "kind": "gauge", "help": help, "merge": merge,
+        "by": by,
+    })
+
+
+def _mean(name: str, help: str):
+    """A per-request mean, stored as the counter of its sum."""
+    return field(default=0.0, metadata={
+        "metric": name, "kind": "counter", "help": help, "read": "mean",
+    })
+
+
+def _histogram(name: str, help: str, by: str | None = None):
+    return field(default_factory=dict if by else WaitHistogram, metadata={
+        "metric": name, "kind": "histogram", "help": help, "by": by,
+    })
+
+
+def _view(name: str, read: str = "value", by: str | None = None):
+    """A second reading of a metric another field declares."""
+    kwargs = {"default_factory": dict} if by else {"default": 0}
+    return field(**kwargs, metadata={"metric": name, "read": read, "by": by})
+
+
+# -- per-request record --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -64,35 +101,266 @@ class RequestMetrics:
     batch_comm_messages: int
 
 
+# -- the views ---------------------------------------------------------------
+
+
+@dataclass
+class WaitHistogram:
+    """Bucketed histogram of queue-wait seconds (snapshot).
+
+    Counts are *per bucket*, not cumulative: ``counts[i]`` is the
+    number of observations in ``(bounds_s[i-1], bounds_s[i]]``, with
+    ``counts[-1]`` the overflow bucket above ``bounds_s[-1]``.
+    Snapshots are plain data: safe to share across threads once
+    returned.
+    """
+
+    bounds_s: tuple = WAIT_BUCKETS_S
+    counts: list = field(default_factory=lambda: [0] * (len(WAIT_BUCKETS_S) + 1))
+    total: int = 0
+    sum_s: float = 0.0
+
+    def quantile(self, q: float) -> float:
+        """Upper-bound estimate of the ``q``-quantile (0 < q <= 1).
+
+        Returns the upper bound of the first bucket whose cumulative
+        count reaches ``q * total`` (``inf`` when it falls in the
+        overflow bucket, ``0.0`` when the histogram is empty).
+        """
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1], got {q}")
+        if self.total == 0:
+            return 0.0
+        target = q * self.total
+        seen = 0
+        for bound, count in zip(self.bounds_s, self.counts):
+            seen += count
+            if seen >= target:
+                return bound
+        return math.inf
+
+    def to_dict(self) -> dict:
+        """JSON-able form (used by the stats wire message)."""
+        return {
+            "bounds_s": list(self.bounds_s),
+            "counts": list(self.counts),
+            "total": self.total,
+            "sum_s": self.sum_s,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "WaitHistogram":
+        return cls(
+            bounds_s=tuple(d["bounds_s"]),
+            counts=list(d["counts"]),
+            total=int(d["total"]),
+            sum_s=float(d["sum_s"]),
+        )
+
+
+@dataclass
+class AdmissionStats:
+    """Admission counters + queue-wait histogram (view).
+
+    ``accepted`` counts submissions that entered the queue, ``shed``
+    counts :class:`~repro.serve.admission.QueueFull` rejections,
+    ``expired`` counts requests dropped because their deadline had
+    passed — whether while still pending or during a batch's
+    collection window; the latter are also counted in
+    ``expired_at_close`` (a subset of ``expired``). The histogram
+    observes the queue wait of every request *leaving* the queue —
+    both those handed to a batch and those shed as expired (whose wait
+    is by definition at least their deadline), so under deadline
+    pressure the upper buckets reflect shed traffic, not served
+    latency.
+    """
+
+    accepted: int = _counter("repro_admission_accepted_total", "requests admitted to the queue")
+    shed: int = _counter("repro_admission_shed_total", "requests shed at admission")
+    expired: int = _counter("repro_admission_expired_total", "requests expired in the queue")
+    expired_at_close: int = _counter("repro_admission_expired_at_close_total",
+                                     "requests expired during batch collection (subset of expired)")
+    queue_wait: WaitHistogram = _histogram("repro_queue_wait_seconds",
+                                           "queue wait of admitted requests (served and expired)")
+
+    def to_dict(self) -> dict:
+        return {
+            "accepted": self.accepted,
+            "shed": self.shed,
+            "expired": self.expired,
+            "expired_at_close": self.expired_at_close,
+            "queue_wait": self.queue_wait.to_dict(),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AdmissionStats":
+        return cls(
+            accepted=int(d["accepted"]),
+            shed=int(d["shed"]),
+            expired=int(d["expired"]),
+            # absent in snapshots from pre-scheduler peers
+            expired_at_close=int(d.get("expired_at_close", 0)),
+            queue_wait=WaitHistogram.from_dict(d["queue_wait"]),
+        )
+
+
+@dataclass
+class SchedulerStats:
+    """Scheduler counters + per-lane gauges/histograms (view).
+
+    ``lanes`` counts lanes with pending requests now, ``lane_depth``
+    maps lane label → pending now, ``lane_wait`` maps lane label →
+    queue-wait histogram of requests dispatched through that lane.
+    ``warm_key_batches`` counts executed batches whose worker had
+    served the same key before (the affinity payoff measured at the
+    arenas, not at dispatch); the batch recorder increments it.
+    """
+
+    dispatches: int = _counter("repro_sched_dispatches_total",
+                               "batches dispatched by the scheduler")
+    affinity_hits: int = _counter("repro_sched_affinity_hits_total",
+                                  "lane grants landing on the lane's warm worker")
+    affinity_steals: int = _counter("repro_sched_affinity_steals_total",
+                                    "lane grants stealing a lane pinned to a busy worker")
+    edf_preemptions: int = _counter("repro_sched_edf_preemptions_total",
+                                    "grants where an earlier deadline beat arrival order")
+    starvation_overrides: int = _counter("repro_sched_starvation_overrides_total",
+                                         "grants forced by the per-lane skip bound")
+    warm_key_batches: int = _counter("repro_sched_warm_key_batches_total",
+                                     "batches executed by a worker that had served the key before")
+    lanes: int = _view("repro_sched_lane_depth", read="count")
+    lane_depth_high_water: int = _gauge("repro_sched_lane_depth_high_water",
+                                        "peak single-lane depth", "max")
+    lane_depth: dict = _gauge("repro_sched_lane_depth",
+                              "requests pending per lane now", "sum", by="lane")
+    lane_wait: dict = _histogram("repro_lane_wait_seconds",
+                                 "queue wait of dispatched requests, labeled per lane", by="lane")
+
+    def to_dict(self) -> dict:
+        return {
+            "dispatches": self.dispatches,
+            "affinity_hits": self.affinity_hits,
+            "affinity_steals": self.affinity_steals,
+            "edf_preemptions": self.edf_preemptions,
+            "starvation_overrides": self.starvation_overrides,
+            "warm_key_batches": self.warm_key_batches,
+            "lanes": self.lanes,
+            "lane_depth_high_water": self.lane_depth_high_water,
+            "lane_depth": dict(sorted(self.lane_depth.items())),
+            "lane_wait": {
+                label: h.to_dict()
+                for label, h in sorted(self.lane_wait.items())
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SchedulerStats":
+        return cls(
+            dispatches=int(d.get("dispatches", 0)),
+            affinity_hits=int(d.get("affinity_hits", 0)),
+            affinity_steals=int(d.get("affinity_steals", 0)),
+            edf_preemptions=int(d.get("edf_preemptions", 0)),
+            starvation_overrides=int(d.get("starvation_overrides", 0)),
+            warm_key_batches=int(d.get("warm_key_batches", 0)),
+            lanes=int(d.get("lanes", 0)),
+            lane_depth_high_water=int(d.get("lane_depth_high_water", 0)),
+            lane_depth={
+                str(k): int(v) for k, v in d.get("lane_depth", {}).items()
+            },
+            lane_wait={
+                str(k): (
+                    v if isinstance(v, WaitHistogram)
+                    else WaitHistogram.from_dict(v)
+                )
+                for k, v in d.get("lane_wait", {}).items()
+            },
+        )
+
+
+@dataclass
+class CacheStats:
+    """Graph-cache hit/miss/eviction accounting (view).
+
+    ``plan_build_s`` totals the aggregation-plan compile seconds spent
+    by admissions over the cache lifetime; ``evicted_reload_s`` totals
+    the reload cost (loader + plan build wall seconds) of every asset
+    evicted so far — the price a churning cache has put back on future
+    requests, surfaced in the stats table to explain churn.
+    ``entries`` / ``resident_bytes`` are levels measured at admission,
+    eviction and bound enforcement.
+    """
+
+    entries: int = _gauge("repro_graph_cache_entries", "resident graph-cache entries", "sum")
+    resident_bytes: int = _gauge("repro_graph_cache_resident_bytes",
+                                 "resident graph-cache bytes", "sum")
+    hits: int = _counter("repro_graph_cache_hits_total", "graph-cache hits")
+    misses: int = _counter("repro_graph_cache_misses_total", "graph-cache misses")
+    evictions: int = _counter("repro_graph_cache_evictions_total", "graph-cache evictions")
+    plan_build_s: float = _counter("repro_graph_cache_plan_build_seconds_total",
+                                   "aggregation-plan compile seconds", 0.0)
+    evicted_reload_s: float = _counter("repro_graph_cache_evicted_reload_seconds_total",
+                                       "reload cost of evicted graph assets", 0.0)
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits over lookups (0.0 when the cache was never consulted)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+@dataclass
+class RegistryStats:
+    """Model-registry counters (view). Each shard owns a distinct
+    server-side registry, so a model registered on every shard counts
+    once per shard in a cluster view."""
+
+    registered: int = _gauge("repro_models_registered", "registered model names", "sum")
+    resident: int = _gauge("repro_models_resident", "models resident in memory", "sum")
+    loads: int = _counter("repro_model_loads_total", "model loads, labeled model")
+    evictions: int = _counter("repro_model_evictions_total", "model evictions")
+    per_model_loads: dict = _view("repro_model_loads_total", by="model")
+
+
 @dataclass
 class ServeStats:
-    """Aggregate snapshot returned by ``InferenceService.stats()``."""
+    """Aggregate serving snapshot: the view of one metrics registry."""
 
-    requests: int = 0
-    batches: int = 0
-    steps: int = 0
-    mean_batch_size: float = 0.0
-    max_batch_size: int = 0
-    mean_queue_wait_s: float = 0.0
-    mean_latency_s: float = 0.0
-    max_latency_s: float = 0.0
-    comm_bytes: int = 0
-    comm_messages: int = 0
-    queue_depth: int = 0
-    queue_depth_high_water: int = 0
-    tile_hits: int = 0
-    tile_misses: int = 0
-    train_jobs: int = 0
-    train_s: float = 0.0
-    arena_reallocations: int = 0
-    arena_bytes_high_water: int = 0
-    fused_batches: int = 0
-    f32_batches: int = 0
-    ensemble_requests: int = 0
-    ensemble_members: int = 0
-    ensemble_chunks: int = 0
-    ensemble_blow_ups: int = 0
-    ensemble_early_stops: int = 0
+    requests: int = _counter("repro_requests_total",
+                             "completed rollout requests, labeled model and graph")
+    batches: int = _counter("repro_batches_total", "executed batches")
+    steps: int = _counter("repro_steps_total", "rollout steps computed")
+    mean_batch_size: float = _mean("repro_request_batch_size_total",
+                                   "summed per-request batch sizes")
+    max_batch_size: int = _gauge("repro_max_batch_size", "largest executed batch", "max")
+    mean_queue_wait_s: float = _mean("repro_request_queue_wait_seconds_total",
+                                     "summed queue wait of served requests")
+    mean_latency_s: float = _mean("repro_latency_seconds_total", "summed request latency")
+    max_latency_s: float = _gauge("repro_max_latency_seconds", "worst request latency", "max", 0.0)
+    comm_bytes: int = _counter("repro_comm_bytes_total", "halo-exchange bytes")
+    comm_messages: int = _counter("repro_comm_messages_total", "halo-exchange messages")
+    queue_depth: int = _gauge("repro_queue_depth", "requests pending now", "sum")
+    queue_depth_high_water: int = _gauge("repro_queue_depth_high_water", "peak queue depth", "max")
+    tile_hits: int = _counter("repro_tile_cache_hits_total", "tiled-graph cache hits")
+    tile_misses: int = _counter("repro_tile_cache_misses_total", "tiled-graph cache misses")
+    train_jobs: int = _counter("repro_train_jobs_total", "completed training jobs")
+    train_s: float = _counter("repro_train_seconds_total", "training wall seconds", 0.0)
+    arena_reallocations: int = _counter("repro_arena_reallocations_total",
+                                        "worker-arena reallocations")
+    # summed across shards, unlike queue_depth_high_water: arenas are
+    # persistent pools that grow to a bound and stay resident, so every
+    # shard sits at its high water at once — the sum IS the cluster's
+    # steady resident arena cost
+    arena_bytes_high_water: int = _gauge("repro_arena_pooled_bytes_high_water",
+                                         "resident worker-arena bytes at high water", "sum")
+    fused_batches: int = _counter("repro_fused_batches_total", "batches run through fused kernels")
+    f32_batches: int = _counter("repro_f32_batches_total", "batches served on the float32 tier")
+    ensemble_requests: int = _counter("repro_ensemble_requests_total", "admitted ensemble requests")
+    ensemble_members: int = _counter("repro_ensemble_members_total", "ensemble members executed")
+    ensemble_chunks: int = _counter("repro_ensemble_chunks_total", "ensemble chunks dispatched")
+    ensemble_blow_ups: int = _counter("repro_ensemble_blow_ups_total",
+                                      "ensembles that tripped blow-up")
+    ensemble_early_stops: int = _counter("repro_ensemble_early_stops_total",
+                                         "ensembles early-stopped at the blow-up step")
     cache: CacheStats = field(default_factory=CacheStats)
     registry: RegistryStats = field(default_factory=RegistryStats)
     admission: AdmissionStats = field(default_factory=AdmissionStats)
@@ -118,378 +386,166 @@ class ServeStats:
         d["scheduler"] = SchedulerStats.from_dict(d.get("scheduler", {}))
         return cls(**d)
 
+    @classmethod
+    def from_registry(cls, registry: MetricsRegistry) -> "ServeStats":
+        """The stats view of ``registry`` (one consistent snapshot).
 
-def merge_stats(snapshots: "Sequence[ServeStats]") -> ServeStats:
-    """Merge per-engine snapshots into one cluster-wide :class:`ServeStats`.
-
-    Pure function over plain data. Counters, byte totals, and wall-time
-    totals sum; per-request means re-weight by each snapshot's request
-    count; maxima take the max. ``queue_depth`` sums (total pending work
-    across shards) while ``queue_depth_high_water`` takes the max — the
-    per-shard peaks never coincided, so summing them would overstate the
-    cluster's worst moment. An empty sequence merges to a zero snapshot.
-    """
-    snapshots = list(snapshots)
-    if not snapshots:
-        return ServeStats()
-    total_requests = sum(s.requests for s in snapshots)
-
-    def weighted_mean(attr: str) -> float:
-        if total_requests == 0:
-            return 0.0
-        return (
-            sum(getattr(s, attr) * s.requests for s in snapshots) / total_requests
+        Works on a single engine's registry and on a cluster's merge of
+        shard-relabelled registries alike: counters sum over every
+        labelset, means are ``sum / requests`` (``0.0`` with no
+        requests), gauges roll up by their declared ``sum``/``max``
+        policy, and the per-lane / per-model dicts group by their
+        label. Metrics the registry lacks read as zero.
+        """
+        doc = registry.snapshot()
+        requests = sum(
+            s["value"] for s in doc.get("repro_requests_total", {}).get(
+                "samples", ())
         )
+        return _read(cls, doc, requests)
 
-    cache = snapshots[0].cache
-    registry = snapshots[0].registry
-    admission = snapshots[0].admission
-    scheduler = snapshots[0].scheduler
-    for s in snapshots[1:]:
-        cache = cache.merge(s.cache)
-        registry = registry.merge(s.registry)
-        admission = admission.merge(s.admission)
-        scheduler = scheduler.merge(s.scheduler)
-    return ServeStats(
-        requests=total_requests,
-        batches=sum(s.batches for s in snapshots),
-        steps=sum(s.steps for s in snapshots),
-        mean_batch_size=weighted_mean("mean_batch_size"),
-        max_batch_size=max(s.max_batch_size for s in snapshots),
-        mean_queue_wait_s=weighted_mean("mean_queue_wait_s"),
-        mean_latency_s=weighted_mean("mean_latency_s"),
-        max_latency_s=max(s.max_latency_s for s in snapshots),
-        comm_bytes=sum(s.comm_bytes for s in snapshots),
-        comm_messages=sum(s.comm_messages for s in snapshots),
-        queue_depth=sum(s.queue_depth for s in snapshots),
-        queue_depth_high_water=max(s.queue_depth_high_water for s in snapshots),
-        tile_hits=sum(s.tile_hits for s in snapshots),
-        tile_misses=sum(s.tile_misses for s in snapshots),
-        train_jobs=sum(s.train_jobs for s in snapshots),
-        train_s=sum(s.train_s for s in snapshots),
-        arena_reallocations=sum(s.arena_reallocations for s in snapshots),
-        # summed, unlike queue_depth_high_water: arenas are persistent
-        # pools that only grow (to a bound) and then stay resident, so
-        # every shard sits at its high water simultaneously — the sum
-        # IS the cluster's steady resident arena cost
-        arena_bytes_high_water=sum(
-            s.arena_bytes_high_water for s in snapshots
-        ),
-        fused_batches=sum(s.fused_batches for s in snapshots),
-        f32_batches=sum(s.f32_batches for s in snapshots),
-        ensemble_requests=sum(s.ensemble_requests for s in snapshots),
-        ensemble_members=sum(s.ensemble_members for s in snapshots),
-        ensemble_chunks=sum(s.ensemble_chunks for s in snapshots),
-        ensemble_blow_ups=sum(s.ensemble_blow_ups for s in snapshots),
-        ensemble_early_stops=sum(s.ensemble_early_stops for s in snapshots),
-        cache=cache,
-        registry=registry,
-        admission=admission,
-        scheduler=scheduler,
-    )
+
+# -- declaration and reading ---------------------------------------------------
+
+
+def metric_fields(cls: type = ServeStats, prefix: str = ""):
+    """``(path, field)`` for every metric-backed leaf of a stats view,
+    nested views flattened (``"cache.hits"``)."""
+    for f in dataclasses.fields(cls):
+        if "metric" in f.metadata:
+            yield prefix + f.name, f
+        else:
+            yield from metric_fields(f.default_factory, f"{prefix}{f.name}.")
+
+
+def serve_registry(registry: MetricsRegistry | None = None) -> MetricsRegistry:
+    """Declare every serving metric in ``registry`` (a fresh one when
+    ``None``) and return it. Idempotent, so each component may call it
+    on the registry it was handed."""
+    reg = MetricsRegistry() if registry is None else registry
+    for _, f in metric_fields():
+        meta = f.metadata
+        kind = meta.get("kind")
+        if kind == "counter":
+            reg.counter(meta["metric"], meta["help"])
+        elif kind == "gauge":
+            reg.gauge(meta["metric"], meta["help"], merge=meta["merge"])
+        elif kind == "histogram":
+            reg.histogram(meta["metric"], meta["help"], bounds=WAIT_BUCKETS_S)
+    return reg
+
+
+def _histogram_view(entry: dict, samples: list) -> WaitHistogram:
+    bounds = tuple(entry.get("bounds", WAIT_BUCKETS_S))
+    if bounds != WAIT_BUCKETS_S:
+        raise ValueError(
+            f"histogram bounds {bounds} differ from the declared "
+            f"{WAIT_BUCKETS_S}"
+        )
+    counts = [0] * (len(bounds) + 1)
+    total_s = 0.0
+    for s in samples:
+        counts = [a + int(b) for a, b in zip(counts, s["counts"])]
+        total_s += s["sum"]
+    return WaitHistogram(counts=counts, total=sum(counts), sum_s=total_s)
+
+
+def _read(cls: type, doc: dict, requests: float):
+    """Build the stats view ``cls`` from a registry snapshot ``doc``."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        meta = f.metadata
+        if "metric" not in meta:  # a nested view
+            values[f.name] = _read(f.default_factory, doc, requests)
+            continue
+        entry = doc.get(meta["metric"], {})
+        samples = entry.get("samples", [])
+        kind = entry.get("kind", meta.get("kind"))
+        by = meta.get("by")
+        if by:
+            groups: dict = {}
+            for s in samples:
+                if by in s["labels"]:
+                    groups.setdefault(s["labels"][by], []).append(s)
+            if kind == "histogram":
+                values[f.name] = {
+                    k: _histogram_view(entry, v) for k, v in sorted(groups.items())
+                }
+            else:
+                sums = {k: sum(s["value"] for s in v) for k, v in groups.items()}
+                values[f.name] = {k: int(v) for k, v in sorted(sums.items()) if v}
+        elif kind == "histogram":
+            values[f.name] = _histogram_view(entry, samples)
+        else:
+            observed = [s["value"] for s in samples]
+            if meta.get("read") == "count":
+                value = sum(1 for v in observed if v > 0)
+            elif meta.get("read") == "mean":
+                value = sum(observed) / requests if requests else 0.0
+            elif entry.get("merge", meta.get("merge")) == "max":
+                value = max(observed, default=0)
+            else:
+                value = sum(observed)
+            values[f.name] = type(f.default)(value)
+    return cls(**values)
+
+
+# -- recording -----------------------------------------------------------------
 
 
 class MetricsAggregator:
-    """Thread-safe accumulator the worker pool reports into."""
+    """What the worker pool reports executed work into.
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._completed: list[RequestMetrics] = []
-        self._batches = 0
-        self._steps = 0
-        self._comm_bytes = 0
-        self._comm_messages = 0
-        self._tile_hits = 0
-        self._tile_misses = 0
-        self._train_jobs = 0
-        self._train_s = 0.0
-        self._arena_reallocations = 0
-        self._arena_bytes_high_water = 0
-        self._fused_batches = 0
-        self._f32_batches = 0
-        self._warm_key_batches = 0
-        self._ensemble_requests = 0
-        self._ensemble_members = 0
-        self._ensemble_chunks = 0
-        self._ensemble_blow_ups = 0
-        self._ensemble_early_stops = 0
+    A thin writer over one declared registry (see :func:`serve_registry`);
+    the registry, not this object, holds the numbers. Thread-safe: every
+    method applies its updates under a single registry lock.
+    """
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self.registry = serve_registry(registry)
+        #: top-level ServeStats field name -> the metric backing it
+        self._metric = {
+            f.name: self.registry.get(f.metadata["metric"])
+            for f in dataclasses.fields(ServeStats)
+            if "kind" in f.metadata
+        }
+        self._warm_key = self.registry.get("repro_sched_warm_key_batches_total")
+
+    def add(self, **amounts: float) -> None:
+        """Increment top-level counters by ``ServeStats`` field name."""
+        with self.registry.atomic():
+            for name, amount in amounts.items():
+                self._metric[name].inc(float(amount))
 
     def record_batch(
-        self,
-        per_request: list[RequestMetrics],
-        n_steps: int,
-        comm_bytes: int = 0,
-        comm_messages: int = 0,
-        tile_hits: int = 0,
-        tile_misses: int = 0,
-        arena_reallocations: int = 0,
-        arena_nbytes: int = 0,
-        fused: bool = False,
-        f32: bool = False,
-        warm_key: bool = False,
+        self, per_request: Sequence[RequestMetrics], execution: "BatchExecution"
     ) -> None:
-        with self._lock:
-            self._completed.extend(per_request)
-            self._batches += 1
-            self._steps += n_steps
-            self._comm_bytes += comm_bytes
-            self._comm_messages += comm_messages
-            self._tile_hits += tile_hits
-            self._tile_misses += tile_misses
-            self._arena_reallocations += arena_reallocations
-            self._arena_bytes_high_water = max(
-                self._arena_bytes_high_water, arena_nbytes
+        """Account one executed batch and its requests (one lock)."""
+        m = self._metric
+        with self.registry.atomic():
+            for r in per_request:
+                m["requests"].inc(1.0, model=r.model, graph=r.graph)
+                m["mean_batch_size"].inc(r.batch_size)
+                m["mean_queue_wait_s"].inc(r.queue_wait_s)
+                m["mean_latency_s"].inc(r.latency_s)
+                m["max_latency_s"].set_max(r.latency_s)
+            m["max_batch_size"].set_max(execution.batch_size)
+            m["arena_bytes_high_water"].set_max(execution.arena_nbytes)
+            self._warm_key.inc(float(execution.warm_key))
+            self.add(
+                batches=1,
+                steps=execution.n_steps,
+                comm_bytes=execution.comm.bytes_sent,
+                comm_messages=execution.comm.messages,
+                tile_hits=execution.tile_hits,
+                tile_misses=execution.tile_misses,
+                arena_reallocations=execution.arena_reallocations,
+                fused_batches=execution.fused,
+                f32_batches=execution.f32,
             )
-            self._fused_batches += int(fused)
-            self._f32_batches += int(f32)
-            self._warm_key_batches += int(warm_key)
-
-    def record_train(self, train_s: float) -> None:
-        """Account one completed training job (wall seconds)."""
-        with self._lock:
-            self._train_jobs += 1
-            self._train_s += train_s
-
-    def record_ensemble(self, members: int, chunks: int = 1) -> None:
-        """Account one admitted ensemble (its member and chunk counts)."""
-        with self._lock:
-            self._ensemble_requests += 1
-            self._ensemble_members += members
-            self._ensemble_chunks += chunks
-
-    def record_ensemble_outcome(self, blew_up: bool, early_stopped: bool) -> None:
-        """Account one finished ensemble's stability outcome."""
-        with self._lock:
-            self._ensemble_blow_ups += int(blew_up)
-            self._ensemble_early_stops += int(early_stopped)
-
-    def completed(self) -> list[RequestMetrics]:
-        with self._lock:
-            return list(self._completed)
-
-    def snapshot(
-        self,
-        cache: CacheStats,
-        registry: RegistryStats,
-        queue_depth: int,
-        queue_depth_high_water: int,
-        admission: AdmissionStats | None = None,
-        scheduler: SchedulerStats | None = None,
-    ) -> ServeStats:
-        with self._lock:
-            reqs = list(self._completed)
-            batches = self._batches
-            steps = self._steps
-            comm_bytes = self._comm_bytes
-            comm_messages = self._comm_messages
-            tile_hits = self._tile_hits
-            tile_misses = self._tile_misses
-            train_jobs = self._train_jobs
-            train_s = self._train_s
-            arena_reallocations = self._arena_reallocations
-            arena_bytes_high_water = self._arena_bytes_high_water
-            fused_batches = self._fused_batches
-            f32_batches = self._f32_batches
-            warm_key_batches = self._warm_key_batches
-            ensemble_requests = self._ensemble_requests
-            ensemble_members = self._ensemble_members
-            ensemble_chunks = self._ensemble_chunks
-            ensemble_blow_ups = self._ensemble_blow_ups
-            ensemble_early_stops = self._ensemble_early_stops
-        # warm-key execution is observed here (at the arenas), while
-        # the rest of the scheduler snapshot comes from the queue — the
-        # two halves meet in the one ServeStats field
-        sched = dataclasses.replace(
-            scheduler or SchedulerStats(), warm_key_batches=warm_key_batches
-        )
-        n = len(reqs)
-        mean = lambda vals: sum(vals) / n if n else 0.0  # noqa: E731
-        return ServeStats(
-            requests=n,
-            batches=batches,
-            steps=steps,
-            mean_batch_size=mean([m.batch_size for m in reqs]),
-            max_batch_size=max((m.batch_size for m in reqs), default=0),
-            mean_queue_wait_s=mean([m.queue_wait_s for m in reqs]),
-            mean_latency_s=mean([m.latency_s for m in reqs]),
-            max_latency_s=max((m.latency_s for m in reqs), default=0.0),
-            comm_bytes=comm_bytes,
-            comm_messages=comm_messages,
-            queue_depth=queue_depth,
-            queue_depth_high_water=queue_depth_high_water,
-            tile_hits=tile_hits,
-            tile_misses=tile_misses,
-            train_jobs=train_jobs,
-            train_s=train_s,
-            arena_reallocations=arena_reallocations,
-            arena_bytes_high_water=arena_bytes_high_water,
-            fused_batches=fused_batches,
-            f32_batches=f32_batches,
-            ensemble_requests=ensemble_requests,
-            ensemble_members=ensemble_members,
-            ensemble_chunks=ensemble_chunks,
-            ensemble_blow_ups=ensemble_blow_ups,
-            ensemble_early_stops=ensemble_early_stops,
-            cache=cache,
-            registry=registry,
-            admission=admission or AdmissionStats(),
-            scheduler=sched,
-        )
 
 
-def stats_to_registry(
-    stats: ServeStats,
-    per_request: Sequence[RequestMetrics] = (),
-    registry: "MetricsRegistry | None" = None,
-) -> "MetricsRegistry":
-    """Rebase a :class:`ServeStats` snapshot onto the unified registry.
-
-    Pure function over plain data (the snapshot is already consistent,
-    so no locking happens here). ``per_request`` — when the caller has
-    the completed :class:`RequestMetrics` list — labels the request
-    counter by ``model``/``graph``; without it the counter is a single
-    unlabeled series of the same total. Means are exported as their
-    underlying *sums* (``repro_latency_seconds_total`` =
-    ``mean_latency_s * requests``) so registry merges reproduce exactly
-    what :func:`merge_stats` computes; gauges declare the matching
-    sum/max merge policy. Pass ``registry`` to accumulate into an
-    existing one (counters add, gauges overwrite by policy).
-    """
-    from repro.obs.registry import MetricsRegistry
-
-    reg = registry if registry is not None else MetricsRegistry()
-    c = reg.counter
-    requests = c("repro_requests_total", "completed rollout requests")
-    if per_request:
-        for m in per_request:
-            requests.inc(1.0, model=m.model, graph=m.graph)
-    else:
-        requests.inc(float(stats.requests))
-    for name, help_text, value in (
-        ("repro_batches_total", "executed batches", stats.batches),
-        ("repro_steps_total", "rollout steps computed", stats.steps),
-        ("repro_latency_seconds_total",
-         "summed request latency (mean_latency_s * requests)",
-         stats.mean_latency_s * stats.requests),
-        ("repro_request_batch_size_total",
-         "summed per-request batch sizes (mean_batch_size * requests)",
-         stats.mean_batch_size * stats.requests),
-        ("repro_comm_bytes_total", "halo-exchange bytes", stats.comm_bytes),
-        ("repro_comm_messages_total", "halo-exchange messages",
-         stats.comm_messages),
-        ("repro_tile_cache_hits_total", "tiled-graph cache hits",
-         stats.tile_hits),
-        ("repro_tile_cache_misses_total", "tiled-graph cache misses",
-         stats.tile_misses),
-        ("repro_train_jobs_total", "completed training jobs",
-         stats.train_jobs),
-        ("repro_train_seconds_total", "training wall seconds",
-         stats.train_s),
-        ("repro_arena_reallocations_total", "worker-arena reallocations",
-         stats.arena_reallocations),
-        ("repro_fused_batches_total", "batches run through fused kernels",
-         stats.fused_batches),
-        ("repro_f32_batches_total", "batches served on the float32 tier",
-         stats.f32_batches),
-        ("repro_ensemble_requests_total", "admitted ensemble requests",
-         stats.ensemble_requests),
-        ("repro_ensemble_members_total", "ensemble members executed",
-         stats.ensemble_members),
-        ("repro_ensemble_chunks_total", "ensemble chunks dispatched",
-         stats.ensemble_chunks),
-        ("repro_ensemble_blow_ups_total", "ensembles that tripped blow-up",
-         stats.ensemble_blow_ups),
-        ("repro_ensemble_early_stops_total",
-         "ensembles early-stopped at the blow-up step",
-         stats.ensemble_early_stops),
-        ("repro_admission_accepted_total", "requests admitted to the queue",
-         stats.admission.accepted),
-        ("repro_admission_shed_total", "requests shed at admission",
-         stats.admission.shed),
-        ("repro_admission_expired_total", "requests expired in the queue",
-         stats.admission.expired),
-        ("repro_admission_expired_at_close_total",
-         "requests expired during batch collection (subset of expired)",
-         stats.admission.expired_at_close),
-        ("repro_sched_dispatches_total", "batches dispatched by the scheduler",
-         stats.scheduler.dispatches),
-        ("repro_sched_affinity_hits_total",
-         "lane grants landing on the lane's warm worker",
-         stats.scheduler.affinity_hits),
-        ("repro_sched_affinity_steals_total",
-         "lane grants stealing a lane pinned to a busy worker",
-         stats.scheduler.affinity_steals),
-        ("repro_sched_edf_preemptions_total",
-         "grants where an earlier deadline beat arrival order",
-         stats.scheduler.edf_preemptions),
-        ("repro_sched_starvation_overrides_total",
-         "grants forced by the per-lane skip bound",
-         stats.scheduler.starvation_overrides),
-        ("repro_sched_warm_key_batches_total",
-         "batches executed by a worker that had served the key before",
-         stats.scheduler.warm_key_batches),
-        ("repro_graph_cache_hits_total", "graph-cache hits",
-         stats.cache.hits),
-        ("repro_graph_cache_misses_total", "graph-cache misses",
-         stats.cache.misses),
-        ("repro_graph_cache_evictions_total", "graph-cache evictions",
-         stats.cache.evictions),
-        ("repro_graph_cache_evicted_reload_seconds_total",
-         "reload cost of evicted graph assets", stats.cache.evicted_reload_s),
-        ("repro_graph_cache_plan_build_seconds_total",
-         "aggregation-plan compile seconds", stats.cache.plan_build_s),
-        ("repro_model_loads_total", "model checkpoint loads",
-         stats.registry.loads),
-        ("repro_model_evictions_total", "model evictions",
-         stats.registry.evictions),
-    ):
-        c(name, help_text).inc(float(value))
-    for name, help_text, merge, value in (
-        ("repro_queue_depth", "requests pending now", "sum",
-         stats.queue_depth),
-        ("repro_queue_depth_high_water", "peak queue depth", "max",
-         stats.queue_depth_high_water),
-        ("repro_max_batch_size", "largest executed batch", "max",
-         stats.max_batch_size),
-        ("repro_max_latency_seconds", "worst request latency", "max",
-         stats.max_latency_s),
-        ("repro_arena_pooled_bytes_high_water",
-         "resident worker-arena bytes at high water", "sum",
-         stats.arena_bytes_high_water),
-        ("repro_graph_cache_entries", "resident graph-cache entries", "sum",
-         stats.cache.entries),
-        ("repro_graph_cache_resident_bytes", "resident graph-cache bytes",
-         "sum", stats.cache.resident_bytes),
-        ("repro_models_registered", "registered model names", "sum",
-         stats.registry.registered),
-        ("repro_models_resident", "models resident in memory", "sum",
-         stats.registry.resident),
-        ("repro_sched_lanes", "lanes with pending requests now", "sum",
-         stats.scheduler.lanes),
-        ("repro_sched_lane_depth_high_water", "peak single-lane depth",
-         "max", stats.scheduler.lane_depth_high_water),
-    ):
-        reg.gauge(name, help_text, merge=merge).set(float(value))
-    lane_depth = reg.gauge(
-        "repro_sched_lane_depth", "requests pending per lane now",
-        merge="sum",
-    )
-    for label, depth in stats.scheduler.lane_depth.items():
-        lane_depth.set(float(depth), lane=label)
-    wait = stats.admission.queue_wait
-    reg.histogram(
-        "repro_queue_wait_seconds",
-        "queue wait of admitted requests (served and expired)",
-        bounds=wait.bounds_s,
-    ).load(wait.counts, wait.sum_s)
-    lane_wait = reg.histogram(
-        "repro_lane_wait_seconds",
-        "queue wait of dispatched requests, labeled per lane",
-        bounds=WAIT_BUCKETS_S,
-    )
-    for label, hist in stats.scheduler.lane_wait.items():
-        lane_wait.load(hist.counts, hist.sum_s, lane=label)
-    return reg
+# -- rendering -----------------------------------------------------------------
 
 
 def _wait_quantiles(admission: AdmissionStats) -> str:

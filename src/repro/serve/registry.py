@@ -11,12 +11,14 @@ widths disagree with what the caller expects.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.gnn.architecture import MeshGNN
 from repro.gnn.checkpoint import load_checkpoint
 from repro.gnn.config import GNNConfig
+from repro.obs.registry import MetricsRegistry
+from repro.serve.metrics import RegistryStats, ServeStats, serve_registry
 
 
 class ModelNotFound(KeyError):
@@ -41,41 +43,10 @@ class _Entry:
     path: Path | None = None
     model: MeshGNN | None = None
     expect_config: GNNConfig | None = None
-    loads: int = 0
 
     @property
     def resident(self) -> bool:
         return self.model is not None
-
-
-@dataclass
-class RegistryStats:
-    """Counters exposed through the service stats API.
-
-    A snapshot: plain data taken under the registry lock, safe to share
-    across threads after it is returned.
-    """
-
-    registered: int = 0
-    resident: int = 0
-    loads: int = 0
-    evictions: int = 0
-    per_model_loads: dict = field(default_factory=dict)
-
-    def merge(self, other: "RegistryStats") -> "RegistryStats":
-        """Combine two snapshots (cluster-wide aggregation): counters
-        sum — each shard owns a distinct server-side registry, so a
-        model registered on every shard counts once per shard."""
-        per_model = dict(self.per_model_loads)
-        for name, loads in other.per_model_loads.items():
-            per_model[name] = per_model.get(name, 0) + loads
-        return RegistryStats(
-            registered=self.registered + other.registered,
-            resident=self.resident + other.resident,
-            loads=self.loads + other.loads,
-            evictions=self.evictions + other.evictions,
-            per_model_loads=per_model,
-        )
 
 
 class ModelRegistry:
@@ -87,6 +58,8 @@ class ModelRegistry:
     Determinism: ``get`` returns the *same* model object every call
     until eviction, and checkpoint loading is exact (``.npz`` weights),
     so which thread triggers the lazy load never affects served bits.
+    Load/eviction counters and the registered/resident levels are
+    written to ``metrics`` (a private registry when ``None``).
 
     >>> from repro.gnn import GNNConfig, MeshGNN
     >>> reg = ModelRegistry()
@@ -96,10 +69,21 @@ class ModelRegistry:
     4
     """
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self._entries: dict[str, _Entry] = {}
         self._lock = threading.Lock()
-        self._evictions = 0
+        self._metrics = serve_registry(metrics)
+        get = self._metrics.get
+        self._loads = get("repro_model_loads_total")
+        self._evictions = get("repro_model_evictions_total")
+        self._registered = get("repro_models_registered")
+        self._resident = get("repro_models_resident")
+
+    def _publish_levels(self) -> None:
+        # caller holds the lock
+        with self._metrics.atomic():
+            self._registered.set(len(self._entries))
+            self._resident.set(sum(1 for e in self._entries.values() if e.resident))
 
     # -- registration --------------------------------------------------------
 
@@ -112,7 +96,9 @@ class ModelRegistry:
         """
         with self._lock:
             self._check_name_free(name)
-            self._entries[name] = _Entry(name=name, model=model, loads=1)
+            self._entries[name] = _Entry(name=name, model=model)
+            self._loads.inc(model=name)
+            self._publish_levels()
 
     def register_checkpoint(
         self,
@@ -135,6 +121,7 @@ class ModelRegistry:
             self._entries[name] = _Entry(
                 name=name, path=path, expect_config=expect_config
             )
+            self._publish_levels()
         if eager:
             try:
                 self.get(name)
@@ -142,6 +129,7 @@ class ModelRegistry:
                 # don't leave a known-broken entry squatting on the name
                 with self._lock:
                     self._entries.pop(name, None)
+                    self._publish_levels()
                 raise
 
     def _check_name_free(self, name: str) -> None:
@@ -173,7 +161,8 @@ class ModelRegistry:
                         f"registration expected {expect}"
                     )
                 entry.model = model
-                entry.loads += 1
+                self._loads.inc(model=name)
+                self._publish_levels()
             return entry.model
 
     def config(self, name: str) -> GNNConfig:
@@ -208,7 +197,8 @@ class ModelRegistry:
                 del self._entries[name]
             else:
                 entry.model = None
-            self._evictions += 1
+            self._evictions.inc()
+            self._publish_levels()
 
     def unregister(self, name: str) -> None:
         """Remove an entry entirely (thread-safe)."""
@@ -216,6 +206,7 @@ class ModelRegistry:
             if name not in self._entries:
                 raise ModelNotFound(f"no model {name!r}")
             del self._entries[name]
+            self._publish_levels()
 
     # -- validation ----------------------------------------------------------
 
@@ -236,13 +227,5 @@ class ModelRegistry:
     # -- stats ---------------------------------------------------------------
 
     def stats(self) -> RegistryStats:
-        """Snapshot the counters (consistent under the lock)."""
-        with self._lock:
-            per_model = {n: e.loads for n, e in self._entries.items()}
-            return RegistryStats(
-                registered=len(self._entries),
-                resident=sum(1 for e in self._entries.values() if e.resident),
-                loads=sum(per_model.values()),
-                evictions=self._evictions,
-                per_model_loads=per_model,
-            )
+        """The model-registry view of the metrics registry."""
+        return ServeStats.from_registry(self._metrics).registry

@@ -35,9 +35,12 @@ worker runs which batch when*; batch execution is unchanged
 
 Thread safety: one condition variable guards all lanes, exactly like
 the FIFO queue; any number of submitters and workers may run
-concurrently. Determinism: lane choice is a pure function of lane
-contents, deadlines, skip counts, affinity state and worker identity
-— never of request payloads.
+concurrently. The policy counters and per-lane gauges live in the
+metrics registry the queue is handed (the service's), so a queue
+rebuilt after a restart keeps counting where the old one stopped.
+Determinism: lane choice is a pure function of lane contents,
+deadlines, skip counts, affinity state and worker identity — never of
+request payloads.
 """
 
 from __future__ import annotations
@@ -46,110 +49,19 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
 
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceBuffer
 from repro.runtime.api import BatchKey, RolloutRequest
-from repro.serve.admission import WAIT_BUCKETS_S, AdmissionController, WaitHistogram
+from repro.serve.admission import AdmissionController
 from repro.serve.batching import RolloutHandle, shed_expired
+from repro.serve.metrics import SchedulerStats, ServeStats, serve_registry
 
 
 def lane_label(key: BatchKey) -> str:
     """Canonical human-readable label of one lane (metrics label value)."""
     kind = "residual" if key.residual else "direct"
     return f"{key.model}/{key.graph}/{key.halo_mode}/{kind}/{key.precision}"
-
-
-@dataclass
-class SchedulerStats:
-    """Scheduler counters + per-lane gauges/histograms (snapshot).
-
-    Plain mergeable data, the pattern of
-    :class:`~repro.serve.admission.AdmissionStats`: counters sum,
-    ``lane_depth`` (label → pending now) sums key-wise, ``lane_wait``
-    (label → queue-wait histogram of requests dispatched through that
-    lane) merges bucket-wise, ``lane_depth_high_water`` takes the max.
-    ``warm_key_batches`` counts executed batches whose worker had
-    served the same key before (the affinity payoff measured at the
-    arenas, not at dispatch); it is recorded by the metrics aggregator
-    and folded into the snapshot by the service.
-    """
-
-    dispatches: int = 0
-    affinity_hits: int = 0
-    affinity_steals: int = 0
-    edf_preemptions: int = 0
-    starvation_overrides: int = 0
-    warm_key_batches: int = 0
-    lanes: int = 0
-    lane_depth_high_water: int = 0
-    lane_depth: dict = field(default_factory=dict)
-    lane_wait: dict = field(default_factory=dict)
-
-    def merge(self, other: "SchedulerStats") -> "SchedulerStats":
-        """Combine two snapshots (cluster-wide aggregation)."""
-        depth = dict(self.lane_depth)
-        for label, d in other.lane_depth.items():
-            depth[label] = depth.get(label, 0) + d
-        wait = dict(self.lane_wait)
-        for label, h in other.lane_wait.items():
-            wait[label] = wait[label].merge(h) if label in wait else h
-        return SchedulerStats(
-            dispatches=self.dispatches + other.dispatches,
-            affinity_hits=self.affinity_hits + other.affinity_hits,
-            affinity_steals=self.affinity_steals + other.affinity_steals,
-            edf_preemptions=self.edf_preemptions + other.edf_preemptions,
-            starvation_overrides=(
-                self.starvation_overrides + other.starvation_overrides
-            ),
-            warm_key_batches=self.warm_key_batches + other.warm_key_batches,
-            lanes=self.lanes + other.lanes,
-            lane_depth_high_water=max(
-                self.lane_depth_high_water, other.lane_depth_high_water
-            ),
-            lane_depth=depth,
-            lane_wait=wait,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "dispatches": self.dispatches,
-            "affinity_hits": self.affinity_hits,
-            "affinity_steals": self.affinity_steals,
-            "edf_preemptions": self.edf_preemptions,
-            "starvation_overrides": self.starvation_overrides,
-            "warm_key_batches": self.warm_key_batches,
-            "lanes": self.lanes,
-            "lane_depth_high_water": self.lane_depth_high_water,
-            "lane_depth": dict(sorted(self.lane_depth.items())),
-            "lane_wait": {
-                label: h.to_dict()
-                for label, h in sorted(self.lane_wait.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchedulerStats":
-        return cls(
-            dispatches=int(d.get("dispatches", 0)),
-            affinity_hits=int(d.get("affinity_hits", 0)),
-            affinity_steals=int(d.get("affinity_steals", 0)),
-            edf_preemptions=int(d.get("edf_preemptions", 0)),
-            starvation_overrides=int(d.get("starvation_overrides", 0)),
-            warm_key_batches=int(d.get("warm_key_batches", 0)),
-            lanes=int(d.get("lanes", 0)),
-            lane_depth_high_water=int(d.get("lane_depth_high_water", 0)),
-            lane_depth={
-                str(k): int(v) for k, v in d.get("lane_depth", {}).items()
-            },
-            lane_wait={
-                str(k): (
-                    v if isinstance(v, WaitHistogram)
-                    else WaitHistogram.from_dict(v)
-                )
-                for k, v in d.get("lane_wait", {}).items()
-            },
-        )
 
 
 class _Lane:
@@ -189,6 +101,7 @@ class ScheduledQueue:
         trace: TraceBuffer | None = None,
         affinity: bool = True,
         max_lane_skips: int = 4,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_lane_skips < 1:
             raise ValueError("max_lane_skips must be >= 1")
@@ -196,21 +109,34 @@ class ScheduledQueue:
         self._cond = threading.Condition()
         self._closed = False
         self._depth = 0
-        self._depth_high_water = 0
-        self._lane_depth_high_water = 0
         self._idle = 0  # workers blocked in next_batch waiting for a lane
         self._admission = admission
         self._trace = trace
         self._affinity_on = affinity
         self._max_lane_skips = max_lane_skips
         self._lane_seq = itertools.count()
-        self._dispatches = 0
-        self._affinity_hits = 0
-        self._affinity_steals = 0
-        self._edf_preemptions = 0
-        self._starvation_overrides = 0
-        #: label -> [bucket counts, total, sum_s] of dispatched waits
-        self._lane_waits: dict[str, list] = {}
+        self._metrics = serve_registry(metrics)
+        get = self._metrics.get
+        self._depth_gauge = get("repro_queue_depth")
+        self._depth_high_water = get("repro_queue_depth_high_water")
+        self._lane_depth = get("repro_sched_lane_depth")
+        self._lane_depth_high_water = get("repro_sched_lane_depth_high_water")
+        self._dispatches = get("repro_sched_dispatches_total")
+        self._affinity_hits = get("repro_sched_affinity_hits_total")
+        self._affinity_steals = get("repro_sched_affinity_steals_total")
+        self._edf_preemptions = get("repro_sched_edf_preemptions_total")
+        self._starvation_overrides = get("repro_sched_starvation_overrides_total")
+        self._lane_wait = get("repro_lane_wait_seconds")
+
+    def _publish_depth(self, lanes) -> None:
+        """Write the depth gauges after ``lanes`` changed (caller holds
+        the queue lock; one registry acquisition)."""
+        with self._metrics.atomic():
+            self._depth_gauge.set(self._depth)
+            self._depth_high_water.set_max(self._depth)
+            for lane in lanes:
+                self._lane_depth.set(len(lane.pending), lane=lane.label)
+                self._lane_depth_high_water.set_max(len(lane.pending))
 
     # -- submission ----------------------------------------------------------
 
@@ -233,10 +159,7 @@ class ScheduledQueue:
                 self._lanes[request.key] = lane
             lane.pending.append((request, handle))
             self._depth += 1
-            self._depth_high_water = max(self._depth_high_water, self._depth)
-            self._lane_depth_high_water = max(
-                self._lane_depth_high_water, len(lane.pending)
-            )
+            self._publish_depth((lane,))
             self._cond.notify_all()
         return handle
 
@@ -260,6 +183,7 @@ class ScheduledQueue:
                 raise RuntimeError("queue is closed")
             if self._admission is not None:
                 self._admission.admit(self._depth, slots=len(requests))
+            touched: dict = {}
             for request, handle in zip(requests, handles):
                 lane = self._lanes.get(request.key)
                 if lane is None:
@@ -267,10 +191,8 @@ class ScheduledQueue:
                     self._lanes[request.key] = lane
                 lane.pending.append((request, handle))
                 self._depth += 1
-                self._lane_depth_high_water = max(
-                    self._lane_depth_high_water, len(lane.pending)
-                )
-            self._depth_high_water = max(self._depth_high_water, self._depth)
+                touched[lane.label] = lane
+            self._publish_depth(touched.values())
             self._cond.notify_all()
         return handles
 
@@ -369,7 +291,7 @@ class ScheduledQueue:
         if overdue:
             chosen = min(overdue, key=edf_key)
             if chosen is not min(eligible, key=edf_key):
-                self._starvation_overrides += 1
+                self._starvation_overrides.inc()
         else:
             pool = eligible
             on_affinity = False
@@ -382,11 +304,11 @@ class ScheduledQueue:
             chosen = min(pool, key=edf_key)
             if self._affinity_on:
                 if on_affinity:
-                    self._affinity_hits += 1
+                    self._affinity_hits.inc()
                 elif chosen.affinity is not None:
-                    self._affinity_steals += 1
+                    self._affinity_steals.inc()
         if chosen is not arrival_first and edf_key(chosen) < edf_key(arrival_first):
-            self._edf_preemptions += 1
+            self._edf_preemptions.inc()
         for lane in eligible:
             lane.skips = 0 if lane is chosen else lane.skips + 1
         chosen.collector = worker_id
@@ -396,6 +318,8 @@ class ScheduledQueue:
         self, lane: _Lane, batch: list, max_batch_size: int
     ) -> None:
         """Move live lane requests into ``batch`` (caller holds the lock)."""
+        if not lane.pending or len(batch) >= max_batch_size:
+            return
         now = time.perf_counter()
         while lane.pending and len(batch) < max_batch_size:
             req, handle = lane.pending.pop(0)
@@ -404,6 +328,7 @@ class ScheduledQueue:
                 shed_expired(req, handle, now, self._admission, self._trace)
             else:
                 batch.append((req, handle))
+        self._publish_depth((lane,))
 
     def _close_batch(
         self, lane: _Lane, batch: list, worker_id: int
@@ -432,24 +357,13 @@ class ScheduledQueue:
         self._cond.notify_all()
         if not live:
             return None
-        self._dispatches += 1
-        if self._admission is not None:
+        with self._metrics.atomic():
+            self._dispatches.inc()
             for req, _ in live:
-                self._admission.note_dequeued(req.waited_s(now))
-        counts, _, _ = self._lane_waits.setdefault(
-            lane.label, [[0] * (len(WAIT_BUCKETS_S) + 1), 0, 0.0]
-        )
-        record = self._lane_waits[lane.label]
-        for req, _ in live:
-            waited = req.waited_s(now)
-            for i, bound in enumerate(WAIT_BUCKETS_S):
-                if waited <= bound:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
-            record[1] += 1
-            record[2] += waited
+                waited = req.waited_s(now)
+                if self._admission is not None:
+                    self._admission.note_dequeued(waited)
+                self._lane_wait.observe(waited, lane=lane.label)
         return live
 
     def _shed_expired_pending(self, now: float) -> None:
@@ -466,7 +380,9 @@ class ScheduledQueue:
                     self._depth -= 1
                 else:
                     kept.append((req, handle))
-            lane.pending[:] = kept
+            if len(kept) < len(lane.pending):
+                lane.pending[:] = kept
+                self._publish_depth((lane,))
 
     def _other_lane_waiting(self, lane: _Lane) -> bool:
         # caller holds the lock
@@ -491,35 +407,12 @@ class ScheduledQueue:
 
     @property
     def depth_high_water(self) -> int:
-        """Peak total pending depth observed over the queue's lifetime."""
-        with self._cond:
-            return self._depth_high_water
+        """Peak total pending depth recorded in the queue's registry."""
+        return int(self._depth_high_water.value())
 
     def scheduler_stats(self) -> SchedulerStats:
-        """Snapshot of the policy counters and per-lane gauges."""
-        with self._cond:
-            lane_depth = {
-                lane.label: len(lane.pending)
-                for lane in self._lanes.values()
-                if lane.pending
-            }
-            lane_wait = {
-                label: WaitHistogram(
-                    counts=list(counts), total=total, sum_s=sum_s
-                )
-                for label, (counts, total, sum_s) in self._lane_waits.items()
-            }
-            return SchedulerStats(
-                dispatches=self._dispatches,
-                affinity_hits=self._affinity_hits,
-                affinity_steals=self._affinity_steals,
-                edf_preemptions=self._edf_preemptions,
-                starvation_overrides=self._starvation_overrides,
-                lanes=len(lane_depth),
-                lane_depth_high_water=self._lane_depth_high_water,
-                lane_depth=lane_depth,
-                lane_wait=lane_wait,
-            )
+        """The scheduler view of the metrics registry."""
+        return ServeStats.from_registry(self._metrics).scheduler
 
     def close(self) -> None:
         """Stop accepting requests; pending ones are still served."""

@@ -32,7 +32,7 @@ from repro.obs.trace import Span, TraceBuffer, wall_from_perf
 from repro.runtime.api import RolloutRequest, TrainRequest, TrainResult
 from repro.serve.admission import AdmissionConfig, AdmissionController, QueueFull
 from repro.serve.batching import RequestQueue, RolloutHandle
-from repro.serve.scheduler import ScheduledQueue, SchedulerStats
+from repro.serve.scheduler import ScheduledQueue
 from repro.serve.cache import GraphAsset, GraphCache
 from repro.serve.executor import WorkerArenas, execute_batch, execute_train_job
 from repro.serve.metrics import (
@@ -134,28 +134,28 @@ class InferenceService:
     >>> #     svc.register_model("m", model)
     >>> #     svc.register_graph("g", dg.locals)
     >>> #     states = svc.rollout("m", "g", x0, n_steps=5)
+
+    One :class:`~repro.obs.registry.MetricsRegistry` holds every
+    serving counter: the model registry, graph cache, admission
+    controller, queue and worker pool all write into it, and
+    :meth:`stats` is its :class:`~repro.serve.metrics.ServeStats` view.
     """
 
-    def __init__(
-        self,
-        config: ServeConfig | None = None,
-        registry: ModelRegistry | None = None,
-        cache: GraphCache | None = None,
-    ):
+    def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
-        self.registry = registry or ModelRegistry()
-        self.cache = cache or GraphCache(
+        self._metrics = MetricsAggregator()
+        metrics = self._metrics.registry
+        self.registry = ModelRegistry(metrics=metrics)
+        self.cache = GraphCache(
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
+            metrics=metrics,
         )
-        self._admission = AdmissionController(self.config.admission)
+        self._admission = AdmissionController(self.config.admission, metrics)
         self.trace = TraceBuffer(
             self.config.trace_capacity, enabled=self.config.tracing
         )
         self._queue = self._make_queue()
-        self._queue_high_water_prev = 0
-        self._sched_prev = SchedulerStats()
-        self._metrics = MetricsAggregator()
         self._graph_dirs: dict[str, Path] = {}
         self._pinned_graphs: dict[str, tuple[LocalGraph, ...]] = {}
         self._workers: list[threading.Thread] = []
@@ -165,33 +165,25 @@ class InferenceService:
     # -- lifecycle -----------------------------------------------------------
 
     def _make_queue(self) -> RequestQueue | ScheduledQueue:
+        metrics = self._metrics.registry
         if self.config.scheduler == "fifo":
-            return RequestQueue(self._admission, trace=self.trace)
+            return RequestQueue(self._admission, trace=self.trace, metrics=metrics)
         return ScheduledQueue(
             self._admission,
             trace=self.trace,
             affinity=self.config.affinity,
             max_lane_skips=self.config.max_lane_skips,
+            metrics=metrics,
         )
-
-    def _queue_scheduler_stats(self) -> SchedulerStats:
-        stats_fn = getattr(self._queue, "scheduler_stats", None)
-        return stats_fn() if stats_fn is not None else SchedulerStats()
 
     def start(self) -> "InferenceService":
         with self._lock:
             if self._started:
                 return self
             if self._queue.closed:
-                # restart after stop(): workers need a live queue; keep
-                # the old peak depth and scheduler counters so stats
-                # span the service lifetime
-                self._queue_high_water_prev = max(
-                    self._queue_high_water_prev, self._queue.depth_high_water
-                )
-                self._sched_prev = self._sched_prev.merge(
-                    self._queue_scheduler_stats()
-                )
+                # restart after stop(): workers need a live queue; it
+                # writes into the same registry, so stats span the
+                # service lifetime
                 self._queue = self._make_queue()
             self._started = True
             for i in range(self.config.n_workers):
@@ -381,12 +373,17 @@ class InferenceService:
             model=request.model, graph=request.graph, members=len(members),
         )
         chunks = -(-len(members) // self.config.max_batch_size)
-        self._metrics.record_ensemble(members=len(members), chunks=chunks)
+        self._metrics.add(
+            ensemble_requests=1, ensemble_members=len(members),
+            ensemble_chunks=chunks,
+        )
         return EnsembleHandle(
             request, handles,
             timeout_s=self.config.request_timeout_s,
             trace=self.trace,
-            on_outcome=self._metrics.record_ensemble_outcome,
+            on_outcome=lambda blew_up, stopped: self._metrics.add(
+                ensemble_blow_ups=blew_up, ensemble_early_stops=stopped
+            ),
         )
 
     def submit(
@@ -533,21 +530,9 @@ class InferenceService:
             handle.metrics = metrics
             per_request.append(metrics)
             handle._finish()
-        self._metrics.record_batch(
-            per_request,
-            execution.n_steps,
-            comm_bytes=execution.comm.bytes_sent,
-            comm_messages=execution.comm.messages,
-            tile_hits=execution.tile_hits,
-            tile_misses=execution.tile_misses,
-            arena_reallocations=execution.arena_reallocations,
-            arena_nbytes=execution.arena_nbytes,
-            fused=execution.fused,
-            f32=execution.f32,
-            warm_key=execution.warm_key,
-        )
+        self._metrics.record_batch(per_request, execution)
         # a tile miss grew the asset's resident bytes after admission;
-        # keep the configured cache byte budget honest
+        # keep the configured cache byte budget (and level) honest
         if execution.tile_misses:
             self.cache.enforce_bounds()
 
@@ -569,23 +554,15 @@ class InferenceService:
         result = execute_train_job(
             model, asset, request, timeout=self.config.request_timeout_s
         )
-        self._metrics.record_train(result.train_s)
+        self._metrics.add(train_jobs=1, train_s=result.train_s)
         self.cache.enforce_bounds()  # the job may have tiled the asset
         return result
 
     # -- stats ---------------------------------------------------------------
 
     def stats(self) -> ServeStats:
-        return self._metrics.snapshot(
-            cache=self.cache.stats(),
-            registry=self.registry.stats(),
-            queue_depth=self._queue.depth(),
-            queue_depth_high_water=max(
-                self._queue_high_water_prev, self._queue.depth_high_water
-            ),
-            admission=self._admission.stats(),
-            scheduler=self._sched_prev.merge(self._queue_scheduler_stats()),
-        )
+        """The :class:`ServeStats` view of :meth:`metrics_registry`."""
+        return ServeStats.from_registry(self._metrics.registry)
 
     def stats_markdown(self) -> str:
         return stats_markdown(self.stats())
@@ -597,14 +574,11 @@ class InferenceService:
         return self.trace.trace(trace_id)
 
     def metrics_registry(self):
-        """The service's stats as a unified metrics registry.
+        """The registry that stores every serving counter of this service.
 
-        Labeled per model/graph from the completed request log; served
-        over the wire by the ``metrics`` op and over HTTP by
+        Live, not a copy (take :meth:`~repro.obs.registry.
+        MetricsRegistry.snapshot` for a consistent read); served over
+        the wire by the ``metrics`` op and over HTTP by
         ``--metrics-port`` (:mod:`repro.obs.http`).
         """
-        from repro.serve.metrics import stats_to_registry
-
-        return stats_to_registry(
-            self.stats(), per_request=self._metrics.completed()
-        )
+        return self._metrics.registry

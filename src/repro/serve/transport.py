@@ -20,8 +20,12 @@ the message header; the server's spans for that request (admission,
 queue, tile, execute, and the ``serialize`` span this module records
 around frame streaming) land in the service's trace ring and are
 queryable over the wire with the ``get_trace`` op. The ``metrics`` op
-returns the service's unified metrics registry as a mergeable snapshot
-plus rendered Prometheus text.
+returns the service's metrics registry — the store every serving
+counter lives in — as a mergeable snapshot plus rendered Prometheus
+text. A connection handler that dies on an exception (a peer resetting
+its socket mid-request) is counted there as
+``repro_server_errors_total{error=<class>}`` instead of printing a
+traceback to stderr.
 
 **Trust model**: the transport is unauthenticated and unencrypted —
 it is meant for localhost and trusted networks (a lab cluster behind a
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import socketserver
+import sys
 import threading
 import time
 from typing import Sequence
@@ -339,6 +344,15 @@ class _ServeTCPServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int], service: InferenceService):
         super().__init__(address, _Handler)
         self.service = service
+        self._errors = service.metrics_registry().counter(
+            "repro_server_errors_total",
+            "connection handlers ended by an exception, labeled error class",
+        )
+
+    def handle_error(self, request, client_address) -> None:
+        """Count a handler's escaped exception (a peer that reset its
+        socket mid-request, say) instead of printing a traceback."""
+        self._errors.inc(error=type(sys.exc_info()[1]).__name__)
 
 
 class ServeServer:

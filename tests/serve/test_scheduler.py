@@ -14,9 +14,10 @@ from repro.serve import (
     RequestQueue,
     ScheduledQueue,
     SchedulerStats,
+    ServeStats,
     lane_label,
 )
-from repro.serve.admission import WaitHistogram
+from repro.serve.metrics import serve_registry
 
 X0 = np.zeros((5, 3))
 
@@ -277,21 +278,36 @@ def test_lane_wait_histogram_per_lane():
     assert lane_label(key) == "a/g/None/direct/float64"
 
 
+def scheduler_registry(lane_depth, lane_wait, lane_depth_high_water=0,
+                       **counters):
+    """A registry holding one shard's scheduler series."""
+    reg = serve_registry()
+    for name, value in counters.items():
+        reg.counter(f"repro_sched_{name}_total").inc(value)
+    reg.gauge("repro_sched_lane_depth_high_water", merge="max").set(
+        lane_depth_high_water)
+    for label, depth in lane_depth.items():
+        reg.gauge("repro_sched_lane_depth").set(depth, lane=label)
+    for label, (counts, sum_s) in lane_wait.items():
+        reg.get("repro_lane_wait_seconds").load(counts, sum_s, lane=label)
+    return reg
+
+
 def test_scheduler_stats_merge_and_roundtrip():
-    a = SchedulerStats(
+    a = scheduler_registry(
         dispatches=3, affinity_hits=2, affinity_steals=1,
         edf_preemptions=1, starvation_overrides=1, warm_key_batches=2,
-        lanes=2, lane_depth_high_water=4,
+        lane_depth_high_water=4,
         lane_depth={"x": 1, "y": 2},
-        lane_wait={"x": WaitHistogram(counts=[1] + [0] * 10, total=1, sum_s=0.5)},
+        lane_wait={"x": ([1] + [0] * 10, 0.5)},
     )
-    b = SchedulerStats(
-        dispatches=1, lanes=1, lane_depth_high_water=7,
+    b = scheduler_registry(
+        dispatches=1, lane_depth_high_water=7,
         lane_depth={"y": 3, "z": 1},
-        lane_wait={"x": WaitHistogram(counts=[0, 2] + [0] * 9, total=2, sum_s=1.0),
-                   "z": WaitHistogram(counts=[1] + [0] * 10, total=1, sum_s=0.1)},
+        lane_wait={"x": ([0, 2] + [0] * 9, 1.0), "z": ([1] + [0] * 10, 0.1)},
     )
-    merged = a.merge(b)
+    merged_registry = a.relabel(shard="a").merge(b.relabel(shard="b"))
+    merged = ServeStats.from_registry(merged_registry).scheduler
     assert merged.dispatches == 4
     assert merged.affinity_hits == 2
     assert merged.lane_depth == {"x": 1, "y": 5, "z": 1}
