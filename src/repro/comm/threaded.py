@@ -9,10 +9,14 @@ program (SPMD). Collectives use a shared slot table plus a reusable
 3. every rank reads what it needs (copying, so slot reuse is safe);
 4. barrier — all reads done, slots may be overwritten.
 
-numpy releases the GIL inside array kernels, so ranks overlap compute;
-but the design goal here is *semantic* fidelity (matching, ordering,
-determinism), not parallel speedup — the performance model in
-:mod:`repro.perf` owns the speed story.
+numpy releases the GIL inside array kernels, so ranks overlap compute
+and R ranks on R cores run a partitioned graph faster than one rank
+runs the whole. For that, the ranks share the cores for BLAS: while a
+world runs, :mod:`repro.comm.blas` caps OpenBLAS's per-call pool at the
+world's share of the CPUs instead of letting every rank's GEMM claim
+all of them. Collectives keep *semantic* fidelity (matching, ordering,
+determinism); the performance model in :mod:`repro.perf` extrapolates
+to Frontier-scale machines.
 
 Deadlock safety: real collective libraries hang when rank programs
 disagree on the collective sequence. Here, a barrier timeout turns that
@@ -30,6 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.comm.backend import Communicator
+from repro.comm.blas import rank_threads
 
 
 class CollectiveTimeout(RuntimeError):
@@ -181,13 +186,14 @@ class ThreadWorld:
             threading.Thread(target=worker, args=(r,), name=f"rank{r}", daemon=True)
             for r in range(self.size)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=self.timeout * 4)
-            if t.is_alive():
-                state.barrier.abort()
-                raise CollectiveTimeout(f"rank thread {t.name} failed to finish")
+        with rank_threads(self.size):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=self.timeout * 4)
+                if t.is_alive():
+                    state.barrier.abort()
+                    raise CollectiveTimeout(f"rank thread {t.name} failed to finish")
 
         # prefer reporting a real error over the induced barrier breaks
         real = [e for e in errors if e is not None and not isinstance(e, CollectiveTimeout)]

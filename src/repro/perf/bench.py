@@ -42,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.comm.blas import process_budget
 from repro.gnn import GNNConfig, MeshGNN
 from repro.gnn.rollout import rollout
 from repro.graph.distributed import build_distributed_graph, build_full_graph
@@ -50,6 +51,9 @@ from repro.mesh import BoxMesh, auto_partition, taylor_green_velocity
 from repro.perf.report import markdown_table
 from repro.tensor import naive_aggregation
 from repro.tensor.aggregation import AggregationPlan
+
+#: world size of the threaded rollout section
+MULTIRANK_RANKS = 4
 
 
 def _best_of(fn: Callable[[], object], repeats: int, number: int = 1) -> float:
@@ -213,7 +217,8 @@ def bench_rollout(mesh: BoxMesh, config: GNNConfig, n_steps: int, repeats: int) 
 
 
 def bench_rollout_multirank(
-    mesh: BoxMesh, config: GNNConfig, n_steps: int, repeats: int, ranks: int = 4
+    mesh: BoxMesh, config: GNNConfig, n_steps: int, repeats: int,
+    ranks: int = MULTIRANK_RANKS,
 ) -> dict:
     """4-rank threaded rollout, naive vs fast (each rank owns an arena)."""
     from repro.comm.threaded import ThreadWorld
@@ -519,6 +524,9 @@ def run_bench(
                 "platform": platform.platform(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,
+                # BLAS threads per rank are capped while a world runs:
+                # the rollout_4rank numbers hold for this budget only
+                **process_budget().describe(MULTIRANK_RANKS),
             },
             "ops": bench_ops(op_mesh, width, repeats),
             "rollout_single_rank": bench_rollout(

@@ -29,6 +29,15 @@ def test_quick_bench_artifact_schema(artifact):
     assert ops["plan_compile_s"] > 0
 
 
+def test_machine_block_records_the_blas_budget(artifact):
+    machine = artifact["machine"]
+    assert machine["cpus"] >= 1
+    assert machine["blas_budget_ranks"] == 4
+    if machine["blas"] is not None:
+        assert 1 <= machine["blas_threads_per_rank"] <= machine["blas_default_threads"]
+        assert machine["blas_threads_per_rank"] <= max(1, machine["cpus"] // 4)
+
+
 def test_scatter_plan_beats_add_at(artifact):
     # the headline claim: the compiled plan beats np.add.at on the
     # edge-aggregation scatter (generous CI margin; typical is ~3-4x)
